@@ -25,7 +25,7 @@ from .sgdp import (SgdpConfig, SgdpState, cds_bursts, run_sgdp, sgdp_step,
 from .signals import DriftSignal
 from .stream_model import (SGR, BurstProfile, IngestEvent, SgrParseError,
                            ingest, parse_sgr, read_sgr_stream, segment_bursts)
-from .uwgo import (Oscillator, OscillatorGraph, assign_phases, butterfly_ident,
+from .uwgo import (OscillatorGraph, assign_phases, butterfly_ident,
                    order_parameter, project, rk4_step)
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "SGR", "BurstProfile", "IngestEvent", "SgrParseError",
     "ingest", "parse_sgr", "read_sgr_stream", "segment_bursts",
     "BipartiteWindow", "ButterflyKey", "enumerate_young", "young_timestamps",
-    "Oscillator", "OscillatorGraph", "assign_phases", "butterfly_ident",
+    "OscillatorGraph", "assign_phases", "butterfly_ident",
     "order_parameter", "project", "rk4_step",
     "DriftSignal",
     "SgdpConfig", "SgdpState", "cds_bursts", "run_sgdp", "sgdp_step", "suffix_size",

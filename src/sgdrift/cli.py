@@ -73,6 +73,26 @@ def _write_manifest(directory: Path, subcommand: str, args: dict) -> None:
                     encoding="utf-8")
 
 
+def _add_detector_args(parser: argparse.ArgumentParser) -> None:
+    """Detector knobs, shared by every subcommand that runs a detector."""
+    parser.add_argument("--f-schedule", default=_env("F_SCHEDULE", "default"),
+                        help="'default' (0.3), 'full', or comma-separated factors")
+    parser.add_argument("--x", type=float, default=float(_env("X", 0.25)))
+    parser.add_argument("--sigma", type=float, default=float(_env("SIGMA", 1.0)))
+    parser.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    parser.add_argument("--variant", choices=("default", "appendix"),
+                        default=_env("VARIANT", "default"))
+    parser.add_argument("--sprime", choices=("decreasing", "literal"),
+                        default=_env("SPRIME", "decreasing"))
+    parser.add_argument("--on-error", choices=("abort", "skip"), default="abort")
+
+
+def _detector_knobs(args) -> dict:
+    return {"f_schedule": args.f_schedule, "x": args.x, "sigma": args.sigma,
+            "seed": args.seed, "variant": args.variant, "sprime": args.sprime,
+            "on_error": args.on_error}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sgdrift",
                      description="Concept-drift prediction and detection "
@@ -101,16 +121,7 @@ def build_parser() -> _Parser:
     det.add_argument("--input", required=True, help="stream file, or - for stdin")
     det.add_argument("--out", default="-", help="signal file (JSON lines), or - for stdout")
     det.add_argument("--delimiter", default=",")
-    det.add_argument("--f-schedule", default=_env("F_SCHEDULE", "default"),
-                     help="'default' (0.3), 'full', or comma-separated factors")
-    det.add_argument("--x", type=float, default=float(_env("X", 0.25)))
-    det.add_argument("--sigma", type=float, default=float(_env("SIGMA", 1.0)))
-    det.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    det.add_argument("--variant", choices=("default", "appendix"),
-                     default=_env("VARIANT", "default"))
-    det.add_argument("--sprime", choices=("decreasing", "literal"),
-                     default=_env("SPRIME", "decreasing"))
-    det.add_argument("--on-error", choices=("abort", "skip"), default="abort")
+    _add_detector_args(det)
 
     ev = sub.add_parser("eval", help="score signals against ground truth")
     ev.add_argument("--signals", help="signal file from detect")
@@ -124,7 +135,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--input", help="stream file (timing protocol)")
     ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp")
     ev.add_argument("--delimiter", default=",")
-    ev.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    _add_detector_args(ev)
     return parser
 
 
@@ -162,7 +173,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _detect_stream(lines, args, emit) -> None:
+def _detect_stream(lines, args, emit, on_record=None) -> None:
+    """Parse ``lines`` and feed every record to the detectors of ``args.mode``.
+
+    Both ``detect`` and ``eval --repeat`` run through here, so they build
+    their detectors from the same knob flags. Signals go to ``emit``;
+    ``on_record`` (if given) sees each record after the detectors have
+    consumed it.
+    """
     sgdp_state = None
     sgdd_state = None
     if args.mode in ("sgdp", "both"):
@@ -190,6 +208,8 @@ def _detect_stream(lines, args, emit) -> None:
             signal = sgdd_step(sgdd_state, record)
             if signal is not None:
                 emit(signal)
+        if on_record is not None:
+            on_record(record)
 
 
 def _cmd_detect(args) -> int:
@@ -208,10 +228,7 @@ def _cmd_detect(args) -> int:
         out_path = Path(args.out)
         _write_manifest(out_path.parent, "detect", {
                             "mode": args.mode, "input": args.input, "out": args.out,
-                            "delimiter": args.delimiter, "on_error": args.on_error,
-                            "f_schedule": args.f_schedule, "x": args.x,
-                            "sigma": args.sigma, "seed": args.seed,
-                            "variant": args.variant, "sprime": args.sprime,
+                            "delimiter": args.delimiter, **_detector_knobs(args),
                         })
     return 0
 
@@ -232,24 +249,13 @@ def _timing_runner(args, truth):
     def run():
         signals = []
         cd_wall = [None] * len(slot)
+
+        def stamp(record):
+            if record.t in slot:
+                cd_wall[slot[record.t]] = time.time() * 1000.0
+
         with open(args.input, encoding="utf-8") as handle:
-            sgdp_state = SgdpState() if args.mode == "sgdp" else None
-            sgdd_state = (SgddState(config=SgddConfig(seed=args.seed))
-                          if args.mode == "sgdd" else None)
-            t = 0
-            for line in handle:
-                record = parse_sgr(line, t + 1, args.delimiter)
-                if record is None:
-                    continue
-                t += 1
-                if sgdp_state is not None:
-                    signals.extend(sgdp_step(sgdp_state, record.tau))
-                else:
-                    signal = sgdd_step(sgdd_state, record)
-                    if signal is not None:
-                        signals.append(signal)
-                if record.t in slot:
-                    cd_wall[slot[record.t]] = time.time() * 1000.0
+            _detect_stream(handle, args, signals.append, stamp)
         return signals, cd_wall
 
     return run
@@ -283,7 +289,7 @@ def _cmd_eval(args) -> int:
     _write_manifest(out_dir, "eval", {
         "signals": args.signals, "truth": args.truth, "delta": args.delta,
         "repeat": args.repeat, "batches": args.batches, "delimiter": args.delimiter,
-        "input": args.input, "mode": args.mode, "seed": args.seed,
+        "input": args.input, "mode": args.mode, **_detector_knobs(args),
     })
     return 0
 

@@ -99,14 +99,13 @@ def cdc_butterfly(average: float, maximum: float, o1: list[float], o2: list[floa
     d = len(drift_windows)
     s = suffix_size(maximum, average, d, variant)
     sprime = sprime_length(s, d, sprime_strategy)
-    prior_o1 = o1[:window - 1]
-    prior_o2 = o2[:window - 1]
-    if len(prior_o2) < s or len(prior_o1) < max(sprime, 0):
+    prior = window - 1
+    if min(prior, len(o2)) < s or min(prior, len(o1)) < max(sprime, 0):
         return None
-    current_o1 = o1[window - 1]
-    current_o2 = o2[window - 1]
-    o1_suffix = prior_o1[-sprime:] if sprime >= 1 else []
-    suffix = prior_o2[-s:]
+    current_o1 = o1[prior]
+    current_o2 = o2[prior]
+    o1_suffix = o1[prior - sprime:prior] if sprime >= 1 else []
+    suffix = o2[prior - s:prior]
     more = sum(1 for v in suffix if v > current_o2)
     less = sum(1 for v in suffix if v < current_o2)
     alpha = d + 2
@@ -141,14 +140,20 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     state.window_graph.add(r.i, r.j, r.tau)
     if not event.starts_window:
         return None
+    graph = state.graph
     young = young_timestamps(state.profile.order, state.config.x)
-    project(state.window_graph, state.graph, young)
-    assign_phases(state.graph, state.rng, state.config.sigma)
-    if state.graph.vertices:
-        keys = state.graph.sorted_keys()
-        o1_value = order_parameter([state.graph.vertices[k].theta for k in keys])
-        delta = rk4_step(state.graph, state.config.step)
-        o2_value = order_parameter([delta[k] for k in keys])
+    size_before = len(graph)
+    project(state.window_graph, graph, young)
+    assign_phases(graph, state.rng, state.config.sigma)
+    if graph.vertices:
+        # Edges only arrive with new vertices and phases depend on the
+        # edges alone, so an unchanged vertex count means an unchanged O1.
+        if len(graph) != size_before:
+            o1_value = order_parameter([graph.theta[v] for v in graph.order])
+        else:
+            o1_value = state.o1[-1]
+        delta = rk4_step(graph, state.config.step)
+        o2_value = order_parameter([delta[v] for v in graph.order])
     else:
         o1_value = state.o1[-1] if state.o1 else 0.0
         o2_value = state.o2[-1] if state.o2 else 0.0

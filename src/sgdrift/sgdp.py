@@ -101,10 +101,9 @@ def cds_bursts(maximum: float, average: float, series: list[float], window: int,
     """
     d = len(drift_windows)
     s = suffix_size(maximum, average, d, variant)
-    prior = series[:-1]
-    if len(prior) < s:
+    if len(series) - 1 < s:
         return None
-    suffix = prior[-s:]
+    suffix = series[-s - 1:-1]
     greater = sum(1 for x in suffix if x > average)
     less = sum(1 for x in suffix if x < average)
     threshold = count_threshold(s, f)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from bisect import insort
 
 from .butterfly import BipartiteWindow, ButterflyKey, enumerate_young
 
@@ -37,63 +37,57 @@ def butterfly_ident(key: ButterflyKey) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=4).digest(), "big")
 
 
-@dataclass
-class Oscillator:
-    """One vertex: identifier, phase in [0, 2*pi), sampled frequency."""
-
-    key: ButterflyKey
-    ident: int
-    theta: float = 0.0
-    omega: float = 0.0
-
-
 class OscillatorGraph:
-    """Undirected weighted graph of oscillators, keyed by butterfly."""
+    """Undirected weighted graph of oscillators over dense integer ids.
+
+    ``vertices`` maps each butterfly key to its id; ids count up from 0 in
+    insertion order and index the per-vertex lists: ``keys``, ``ident``,
+    ``nbr_sum`` (the exact integer sum of the neighbours' identifiers),
+    ``theta``, ``omega`` and ``links``, a list of ``(neighbour id, weight)``
+    pairs in edge-insertion order. ``order`` lists the ids in canonical key
+    order. Edges are only ever added, so no per-window state is rebuilt.
+    """
 
     def __init__(self) -> None:
-        self.vertices: dict[ButterflyKey, Oscillator] = {}
-        self.adjacency: dict[ButterflyKey, dict[ButterflyKey, int]] = {}
-        self._by_j: dict[str, set[ButterflyKey]] = {}
-        self._sorted_keys: list[ButterflyKey] | None = None
+        self.vertices: dict[ButterflyKey, int] = {}
+        self.keys: list[ButterflyKey] = []
+        self.ident: list[int] = []
+        self.nbr_sum: list[int] = []
+        self.theta: list[float] = []
+        self.omega: list[float] = []
+        self.links: list[list[tuple[int, int]]] = []
+        self.order: list[int] = []
+        self._by_j: dict[str, set[int]] = {}
+        self._stale: set[int] = set()
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return sum(map(len, self.links)) // 2
 
-    def neighbors(self, key: ButterflyKey) -> dict[ButterflyKey, int]:
-        return self.adjacency.get(key, {})
-
-    def sorted_keys(self) -> list[ButterflyKey]:
-        """Vertices in canonical order; cached between insertions."""
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self.vertices)
-        return self._sorted_keys
-
-    def _add_vertex(self, key: ButterflyKey) -> Oscillator:
-        osc = Oscillator(key, butterfly_ident(key))
-        self.vertices[key] = osc
-        self.adjacency[key] = {}
-        self._sorted_keys = None
+    def _add_vertex(self, key: ButterflyKey) -> int:
+        v = len(self.keys)
+        self.vertices[key] = v
+        self.keys.append(key)
+        self.ident.append(butterfly_ident(key))
+        self.nbr_sum.append(0)
+        self.theta.append(0.0)
+        self.omega.append(0.0)
+        self.links.append([])
+        insort(self.order, v, key=self.keys.__getitem__)
         for j in key.j_vertices:
-            self._by_j.setdefault(j, set()).add(key)
-        return osc
+            self._by_j.setdefault(j, set()).add(v)
+        return v
 
-    def _add_edge(self, u: ButterflyKey, v: ButterflyKey, weight: int) -> None:
-        self.adjacency[u][v] = weight
-        self.adjacency[v][u] = weight
-
-    def dump_edges(self, out) -> None:
-        """Debug dump: one 'v_id u_id weight' line per edge."""
-        seen: set[tuple[ButterflyKey, ButterflyKey]] = set()
-        for u in sorted(self.adjacency):
-            for v, w in sorted(self.adjacency[u].items()):
-                pair = (u, v) if u < v else (v, u)
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                out.write(f"{self.vertices[pair[0]].ident} {self.vertices[pair[1]].ident} {w}\n")
+    def _add_edge(self, u: int, v: int, weight: int) -> None:
+        """Link two ids that are not linked yet."""
+        self.links[u].append((v, weight))
+        self.links[v].append((u, weight))
+        self.nbr_sum[u] += self.ident[v]
+        self.nbr_sum[v] += self.ident[u]
+        self._stale.add(u)
+        self._stale.add(v)
 
 
 def project(window: BipartiteWindow, graph: OscillatorGraph,
@@ -110,20 +104,19 @@ def project(window: BipartiteWindow, graph: OscillatorGraph,
     """
     keys = enumerate_young(window, young)
     for key in keys:
-        sharers: set[ButterflyKey] = set()
+        # Every vertex is linked to all sharers when it is inserted, so a
+        # re-derived key has no unlinked sharer and adds nothing.
+        if key in graph.vertices:
+            continue
+        sharers: set[int] = set()
         for j in key.j_vertices:
             sharers |= graph._by_j.get(j, set())
-        sharers.add(key)
-        size = len(sharers)
-        if key not in graph.vertices:
-            graph._add_vertex(key)
-        # Sorted so adjacency insertion order (and with it floating-point
+        v = graph._add_vertex(key)
+        size = len(sharers) + 1
+        # In key order, so edge insertion order (and with it floating-point
         # summation order downstream) never depends on hash seeding.
-        for other in sorted(sharers):
-            if other == key:
-                continue
-            if other not in graph.adjacency[key]:
-                graph._add_edge(key, other, size)
+        for u in sorted(sharers, key=graph.keys.__getitem__):
+            graph._add_edge(v, u, size)
     window.clear()
     return keys
 
@@ -133,18 +126,18 @@ def assign_phases(graph: OscillatorGraph, rng: random.Random,
     """Set every vertex's phase from its neighbourhood and resample frequencies.
 
     The phase is the exact integer sum of neighbour identifiers reduced
-    modulo 2*pi into [0, 2*pi); isolated vertices get phase 0. Frequencies
+    modulo 2*pi into [0, 2*pi); isolated vertices get phase 0. Only vertices
+    that gained an edge since the last call have a new sum. Frequencies
     are drawn from a zero-mean Gaussian with standard deviation ``sigma``,
     in canonical vertex order so runs are reproducible for a given seed.
     """
-    for key in graph.sorted_keys():
-        osc = graph.vertices[key]
-        total = sum(graph.vertices[n].ident for n in graph.adjacency[key])
-        theta = math.fmod(float(total), TWO_PI)
-        if theta < 0.0:
-            theta += TWO_PI
-        osc.theta = theta
-        osc.omega = rng.gauss(0.0, sigma)
+    theta, total = graph.theta, graph.nbr_sum
+    for v in graph._stale:
+        theta[v] = math.fmod(float(total[v]), TWO_PI)
+    graph._stale.clear()
+    omega, gauss = graph.omega, rng.gauss
+    for v in graph.order:
+        omega[v] = gauss(0.0, sigma)
 
 
 def order_parameter(phases) -> float:
@@ -157,28 +150,27 @@ def order_parameter(phases) -> float:
     n = len(values)
     if n == 0:
         raise ValueError("order parameter is undefined for zero phases")
-    s = sum(math.sin(v) for v in values)
-    c = sum(math.cos(v) for v in values)
+    # A plain left-to-right loop: builtin sum() of floats is compensated
+    # from CPython 3.12 on, which would change the bits between versions.
+    s = c = 0.0
+    for v in values:
+        s += math.sin(v)
+        c += math.cos(v)
     r = math.hypot(s, c) / n
     return min(r, 1.0)
 
 
-def rk4_step(graph: OscillatorGraph, h: float = 0.01) -> dict[ButterflyKey, float]:
+def rk4_step(graph: OscillatorGraph, h: float = 0.01) -> list[float]:
     """One classical 4th-order step of the coupled phase dynamics.
 
     d theta_v / dt = omega_v + sum_n w_vn * sin(theta_n - theta_v)
 
-    Returns the predicted per-vertex phase change over one step of size
-    ``h`` without mutating the graph's phases.
+    Returns the predicted phase change of every vertex over one step of
+    size ``h``, indexed by vertex id, without mutating the graph's phases.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    keys = graph.sorted_keys()
-    position = {k: a for a, k in enumerate(keys)}
-    theta0 = [graph.vertices[k].theta for k in keys]
-    omega = [graph.vertices[k].omega for k in keys]
-    links = [[(position[n], w) for n, w in graph.adjacency[k].items()]
-             for k in keys]
+    theta0, omega, links = graph.theta, graph.omega, graph.links
     sin = math.sin
 
     def deriv(theta: list[float]) -> list[float]:
@@ -196,5 +188,4 @@ def rk4_step(graph: OscillatorGraph, h: float = 0.01) -> dict[ButterflyKey, floa
     k3 = deriv([t + half * k for t, k in zip(theta0, k2)])
     k4 = deriv([t + h * k for t, k in zip(theta0, k3)])
     sixth = h / 6.0
-    return {k: sixth * (k1[v] + 2.0 * k2[v] + 2.0 * k3[v] + k4[v])
-            for v, k in enumerate(keys)}
+    return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]

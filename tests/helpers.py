@@ -7,6 +7,7 @@ import random
 from itertools import combinations
 
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
+from sgdrift.uwgo import OscillatorGraph
 
 # Worked-example window: solid edges form eight butterflies connected
 # through j-vertices; dotted edges participate in none (the two j0 edges
@@ -85,6 +86,35 @@ def random_bipartite_window(rng: random.Random, max_side: int = 15,
                 # half the j-vertices are stamped stale
                 window.add(f"i{a:02d}", f"j{b:02d}", 2 if b % 2 == 0 else 1)
     return window
+
+
+def weighted_graph(weights: list[list[int]]) -> OscillatorGraph:
+    """Oscillator graph built from a symmetric weight matrix, bypassing projection.
+
+    Vertex k gets id k; every nonzero ``weights[a][b]`` with a < b becomes
+    one edge, added in row-major order.
+    """
+    graph = OscillatorGraph()
+    n = len(weights)
+    for k in range(n):
+        graph._add_vertex(ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if weights[a][b]:
+                graph._add_edge(a, b, weights[a][b])
+    return graph
+
+
+def unit_weights(n: int) -> list[list[int]]:
+    """Weight matrix of the complete graph on n vertices with unit weights."""
+    return [[int(a != b) for b in range(n)] for a in range(n)]
+
+
+def edge_weights(graph: OscillatorGraph) -> dict[tuple[ButterflyKey, ButterflyKey], int]:
+    """Every edge once, as {(lower key, higher key): weight}."""
+    keys = graph.keys
+    return {(keys[u], keys[n]): w for u, edges in enumerate(graph.links)
+            for n, w in edges if keys[u] < keys[n]}
 
 
 def rk4_reference(thetas: list[float], omegas: list[float],

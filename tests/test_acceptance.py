@@ -9,8 +9,9 @@ import random
 import time
 
 from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, brute_force_butterflies,
-                     fig5_window, random_bipartite_window, rk4_reference)
-from sgdrift.butterfly import ButterflyKey, enumerate_young
+                     edge_weights, fig5_window, random_bipartite_window,
+                     rk4_reference, unit_weights, weighted_graph)
+from sgdrift.butterfly import enumerate_young
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
 from sgdrift.harness import repeated_timing
 from sgdrift.sgdd import SgddConfig, SgddState, cdc_butterfly, sgdd_step
@@ -35,17 +36,6 @@ def report(name):
         wrapper.__name__ = fn.__name__
         return wrapper
     return decorator
-
-
-def _complete_unit_graph(n):
-    graph = OscillatorGraph()
-    keys = [ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}") for k in range(n)]
-    for key in keys:
-        graph._add_vertex(key)
-    for a in range(n):
-        for b in range(a + 1, n):
-            graph._add_edge(keys[a], keys[b], 1)
-    return graph, keys
 
 
 def _generated_stream(seed=21, n=2500, delta=500, prefix=200):
@@ -103,14 +93,12 @@ def test_acceptance_worked_example():
     assert keys == FIG5_BUTTERFLIES
     expected = {(FIG5_BUTTERFLIES[a], FIG5_BUTTERFLIES[b]): w
                 for (a, b), w in FIG5_EDGES.items()}
-    actual = {(u, n): w for u in graph.adjacency
-              for n, w in graph.adjacency[u].items() if u < n}
-    assert actual == expected
-    assert graph.neighbors(FIG5_BUTTERFLIES[7]) == {}
+    assert edge_weights(graph) == expected
+    ids = [graph.vertices[k] for k in FIG5_BUTTERFLIES]
+    assert graph.links[ids[7]] == []
     assign_phases(graph, random.Random(0))
-    assert graph.vertices[FIG5_BUTTERFLIES[7]].theta == 0.0
-    assert graph.vertices[FIG5_BUTTERFLIES[4]].theta == \
-        graph.vertices[FIG5_BUTTERFLIES[6]].theta
+    assert graph.theta[ids[7]] == 0.0
+    assert graph.theta[ids[4]] == graph.theta[ids[6]]
     assert time.perf_counter() - started < 1.0
 
 
@@ -132,46 +120,39 @@ def test_acceptance_rk4():
     rng = random.Random(1234)
     for _ in range(50):
         n = rng.randint(1, 10)
-        graph, keys = _complete_unit_graph(n)
         weights = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
                 w = rng.choice([0, 1, 2, 5])
                 weights[a][b] = weights[b][a] = w
-                if w:
-                    graph._add_edge(keys[a], keys[b], w)
-                else:
-                    graph.adjacency[keys[a]].pop(keys[b], None)
-                    graph.adjacency[keys[b]].pop(keys[a], None)
+        graph = weighted_graph(weights)
         thetas = [rng.uniform(0, TWO_PI) for _ in range(n)]
         omegas = [rng.gauss(0, 1) for _ in range(n)]
-        for k, th, om in zip(keys, thetas, omegas):
-            graph.vertices[k].theta = th
-            graph.vertices[k].omega = om
+        graph.theta[:] = thetas
+        graph.omega[:] = omegas
         delta = rk4_step(graph, 0.01)
         expected = rk4_reference(thetas, omegas, weights, 0.01)
-        for k, e in zip(keys, expected):
-            assert abs(delta[k] - e) < 1e-12
+        for d, e in zip(delta, expected):
+            assert abs(d - e) < 1e-12
 
-    graph, keys = _complete_unit_graph(4)
-    for osc in graph.vertices.values():
-        osc.theta, osc.omega = 0.77, 0.0
-    assert all(v == 0.0 for v in rk4_step(graph, 0.01).values())
+    graph = weighted_graph(unit_weights(4))
+    graph.theta[:] = [0.77] * 4
+    graph.omega[:] = [0.0] * 4
+    assert all(v == 0.0 for v in rk4_step(graph, 0.01))
 
     started = time.perf_counter()
-    graph, keys = _complete_unit_graph(8)
+    graph = weighted_graph(unit_weights(8))
     sync_rng = random.Random(7)
-    for k in keys:
-        graph.vertices[k].theta = sync_rng.uniform(-math.pi / 2 + 1e-3,
-                                                   math.pi / 2 - 1e-3)
-        graph.vertices[k].omega = 0.0
-    r = order_parameter([graph.vertices[k].theta for k in keys])
+    for k in range(8):
+        graph.theta[k] = sync_rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3)
+        graph.omega[k] = 0.0
+    r = order_parameter(graph.theta)
     steps = 0
     while r < 0.99 and steps < 100_000:
         delta = rk4_step(graph, 0.01)
-        for k in keys:
-            graph.vertices[k].theta += delta[k]
-        r_next = order_parameter([graph.vertices[k].theta for k in keys])
+        for k in range(8):
+            graph.theta[k] += delta[k]
+        r_next = order_parameter(graph.theta)
         assert r_next >= r - 1e-9
         r = r_next
         steps += 1

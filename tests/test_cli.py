@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from sgdrift.cli import main
 from sgdrift.genstream import read_ground_truth
 from sgdrift.signals import DriftSignal
@@ -181,3 +183,41 @@ def test_eval_repeat_without_input_is_usage_error(tmp_path, capsys):
     truth.write_text("100,1\n")
     code = main(["eval", "--truth", str(truth), "--repeat", "4"])
     assert code == 1
+
+
+def _report_signals(report):
+    """The record-count part of a report, which repeated runs must agree on."""
+    return ([(cd["index"], cd["count"], cd["first_t"], cd["last_t"])
+             for cd in report["per_cd"]],
+            report["false_negatives"], report["after_last"])
+
+
+@pytest.mark.parametrize("mode,knob", [("sgdd", ["--x", "0.5"]),
+                                       ("sgdp", ["--f-schedule", "0.8"])])
+def test_eval_repeat_honours_detector_knobs(tmp_path, capsys, mode, knob):
+    stream, truth_file = generate_small(tmp_path, n=900, delta=250, prefix=100)
+    reports = {}
+    for name, extra in (("default", []), ("knob", knob)):
+        signals = tmp_path / f"{name}.jsonl"
+        assert main(["detect", "--mode", mode, "--input", str(stream),
+                     "--out", str(signals), *extra]) == 0
+        assert main(["eval", "--signals", str(signals), "--truth", str(truth_file),
+                     "--out", str(tmp_path / name)]) == 0
+        reports[name] = json.loads((tmp_path / name / "report.json").read_text())
+    assert _report_signals(reports["knob"]) != _report_signals(reports["default"])
+    assert main(["eval", "--truth", str(truth_file), "--input", str(stream),
+                 "--mode", mode, "--repeat", "1", "--batches", "1",
+                 "--out", str(tmp_path / "rep"), *knob]) == 0
+    repeated = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert _report_signals(repeated) == _report_signals(reports["knob"])
+
+
+def test_eval_repeat_malformed_line_reports_line_number(tmp_path, capsys):
+    stream = tmp_path / "bad.stream"
+    stream.write_text("u1,v1,1.0,1\nnot a record\n")
+    truth = tmp_path / "t.truth"
+    truth.write_text("1,1\n")
+    code = main(["eval", "--truth", str(truth), "--input", str(stream),
+                 "--repeat", "1", "--batches", "1", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err

@@ -1,12 +1,11 @@
-import io
 import math
 import random
 
 import pytest
 
-from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, fig5_window,
+from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, edge_weights, fig5_window,
                      order_parameter_oracle, random_bipartite_window,
-                     rk4_reference)
+                     rk4_reference, unit_weights, weighted_graph)
 from sgdrift.butterfly import ButterflyKey
 from sgdrift.uwgo import (OscillatorGraph, TWO_PI, assign_phases,
                           butterfly_ident, order_parameter, project, rk4_step)
@@ -20,15 +19,8 @@ def build_fig5_graph():
 
 
 def complete_unit_graph(n):
-    """Complete oscillator graph with unit weights, bypassing projection."""
-    graph = OscillatorGraph()
-    keys = [ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}") for k in range(n)]
-    for key in keys:
-        graph._add_vertex(key)
-    for a in range(n):
-        for b in range(a + 1, n):
-            graph._add_edge(keys[a], keys[b], 1)
-    return graph, keys
+    """Complete oscillator graph with unit weights; vertex ids are 0..n-1."""
+    return weighted_graph(unit_weights(n)), list(range(n))
 
 
 # --- identifiers ----------------------------------------------------------------
@@ -51,13 +43,8 @@ def test_fig5_projection_edges_and_weights():
     graph = build_fig5_graph()
     v = FIG5_BUTTERFLIES
     expected = {(v[a], v[b]): w for (a, b), w in FIG5_EDGES.items()}
-    actual = {}
-    for u in graph.adjacency:
-        for n, w in graph.adjacency[u].items():
-            if u < n:
-                actual[(u, n)] = w
-    assert actual == expected
-    assert graph.neighbors(v[7]) == {}  # last butterfly stays isolated
+    assert edge_weights(graph) == expected
+    assert graph.links[graph.vertices[v[7]]] == []  # last butterfly stays isolated
 
 
 def test_projection_clears_window():
@@ -77,7 +64,7 @@ def test_single_butterfly_is_isolated():
     graph = OscillatorGraph()
     keys = project(window, graph, {1})
     assert len(keys) == 1 and len(graph) == 1
-    assert graph.neighbors(keys[0]) == {}
+    assert graph.links[graph.vertices[keys[0]]] == []
 
 
 def test_disjoint_butterflies_stay_disconnected():
@@ -113,7 +100,7 @@ def test_cross_window_linking_uses_cumulative_j_index():
     project(window, graph, {2})
     first = ButterflyKey.make("a", "b", "x", "y")
     second = ButterflyKey.make("c", "d", "x", "z")
-    assert graph.adjacency[second][first] == 2
+    assert dict(graph.links[graph.vertices[second]])[graph.vertices[first]] == 2
 
 
 def test_weights_at_least_two_wherever_linked():
@@ -122,8 +109,8 @@ def test_weights_at_least_two_wherever_linked():
         window = random_bipartite_window(rng)
         graph = OscillatorGraph()
         project(window, graph, {1, 2})
-        for u in graph.adjacency:
-            for _, w in graph.adjacency[u].items():
+        for edges in graph.links:
+            for _, w in edges:
                 assert w >= 2
 
 
@@ -132,14 +119,14 @@ def test_weights_at_least_two_wherever_linked():
 def test_isolated_vertex_phase_zero():
     graph = build_fig5_graph()
     assign_phases(graph, random.Random(0))
-    assert graph.vertices[FIG5_BUTTERFLIES[7]].theta == 0.0
+    assert graph.theta[graph.vertices[FIG5_BUTTERFLIES[7]]] == 0.0
 
 
 def test_shared_neighbourhood_equal_phases():
     graph = build_fig5_graph()
     assign_phases(graph, random.Random(0))
     v = FIG5_BUTTERFLIES
-    assert graph.vertices[v[4]].theta == graph.vertices[v[6]].theta
+    assert graph.theta[graph.vertices[v[4]]] == graph.theta[graph.vertices[v[6]]]
 
 
 def test_phases_reduced_into_range():
@@ -148,22 +135,36 @@ def test_phases_reduced_into_range():
         graph = OscillatorGraph()
         project(window, graph, {1, 2})
         assign_phases(graph, random.Random(seed))
-        for osc in graph.vertices.values():
-            assert 0.0 <= osc.theta < TWO_PI
+        for theta in graph.theta:
+            assert 0.0 <= theta < TWO_PI
+
+
+def test_incremental_phases_match_full_recompute():
+    # Phases are only recomputed for vertices that gained an edge; across
+    # windows that link back to older vertices they must still equal the
+    # neighbourhood sum taken from scratch.
+    graph = OscillatorGraph()
+    rng = random.Random(3)
+    for seed in range(12):
+        project(random_bipartite_window(random.Random(seed)), graph, {1, 2})
+        assign_phases(graph, rng)
+        for v, edges in enumerate(graph.links):
+            total = sum(graph.ident[u] for u, _ in edges)
+            assert graph.theta[v] == math.fmod(float(total), TWO_PI)
+    assert graph.edge_count() > len(graph)
 
 
 def test_phase_assignment_deterministic_given_seed():
     a, b = build_fig5_graph(), build_fig5_graph()
     assign_phases(a, random.Random(42), sigma=0.5)
     assign_phases(b, random.Random(42), sigma=0.5)
-    assert [(o.theta, o.omega) for o in a.vertices.values()] == \
-           [(o.theta, o.omega) for o in b.vertices.values()]
+    assert list(zip(a.theta, a.omega)) == list(zip(b.theta, b.omega))
 
 
 def test_frequency_spread_follows_sigma():
     graph, _ = complete_unit_graph(40)
     assign_phases(graph, random.Random(1), sigma=0.0)
-    assert all(o.omega == 0.0 for o in graph.vertices.values())
+    assert all(omega == 0.0 for omega in graph.omega)
 
 
 # --- order parameter ---------------------------------------------------------------
@@ -201,6 +202,19 @@ def test_order_parameter_matches_complex_oracle():
             order_parameter_oracle(phases), abs=1e-12)
 
 
+def test_order_parameter_sums_left_to_right():
+    # Exact bits of a plain left-to-right float sum on every CPython
+    # version; builtin sum() is compensated from 3.12 on.
+    rng = random.Random(12)
+    for _ in range(200):
+        phases = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 200))]
+        s = c = 0.0
+        for p in phases:
+            s += math.sin(p)
+            c += math.cos(p)
+        assert order_parameter(phases) == min(math.hypot(s, c) / len(phases), 1.0)
+
+
 def test_fig5_rounded_phase_coherence():
     # Printed worked-example phases, evaluated through the formula. The
     # narrative quotes a slightly different value because its internal
@@ -216,10 +230,9 @@ def test_fig5_rounded_phase_coherence():
 
 def test_rk4_zero_weights_gives_h_omega_exactly():
     graph, keys = complete_unit_graph(1)
-    extra = ButterflyKey.make("z1", "z2", "w1", "w2")
-    graph._add_vertex(extra)
-    graph.vertices[keys[0]].omega = 2.5
-    graph.vertices[extra].omega = -1.25
+    extra = graph._add_vertex(ButterflyKey.make("z1", "z2", "w1", "w2"))
+    graph.omega[keys[0]] = 2.5
+    graph.omega[extra] = -1.25
     delta = rk4_step(graph, h=0.01)
     assert delta[keys[0]] == 0.01 * 2.5
     assert delta[extra] == 0.01 * -1.25
@@ -227,17 +240,17 @@ def test_rk4_zero_weights_gives_h_omega_exactly():
 
 def test_rk4_synchronized_zero_frequency_is_fixed_point():
     graph, keys = complete_unit_graph(5)
-    for osc in graph.vertices.values():
-        osc.theta = 1.234
-        osc.omega = 0.0
+    for v in keys:
+        graph.theta[v] = 1.234
+        graph.omega[v] = 0.0
     delta = rk4_step(graph, h=0.01)
     assert all(delta[k] == 0.0 for k in keys)
 
 
 def test_rk4_two_vertex_against_reference():
     graph, keys = complete_unit_graph(2)
-    graph.vertices[keys[0]].theta = 0.0
-    graph.vertices[keys[1]].theta = math.pi / 2
+    graph.theta[keys[0]] = 0.0
+    graph.theta[keys[1]] = math.pi / 2
     delta = rk4_step(graph, h=0.01)
     expected = rk4_reference([0.0, math.pi / 2], [0.0, 0.0],
                              [[0, 1], [1, 0]], 0.01)
@@ -249,34 +262,28 @@ def test_rk4_random_graphs_against_reference():
     for seed in range(30):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
-        graph, keys = complete_unit_graph(n)
         weights = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
                 w = rng.choice([0, 0, 1, 2, 3, 4])
                 weights[a][b] = weights[b][a] = w
-                if w:
-                    graph._add_edge(keys[a], keys[b], w)
-                else:
-                    graph.adjacency[keys[a]].pop(keys[b], None)
-                    graph.adjacency[keys[b]].pop(keys[a], None)
+        graph = weighted_graph(weights)
         thetas = [rng.uniform(0, TWO_PI) for _ in range(n)]
         omegas = [rng.gauss(0, 1) for _ in range(n)]
-        for k, th, om in zip(keys, thetas, omegas):
-            graph.vertices[k].theta = th
-            graph.vertices[k].omega = om
+        graph.theta[:] = thetas
+        graph.omega[:] = omegas
         delta = rk4_step(graph, h=0.01)
         expected = rk4_reference(thetas, omegas, weights, 0.01)
-        for k, e in zip(keys, expected):
-            assert delta[k] == pytest.approx(e, abs=1e-12)
+        for d, e in zip(delta, expected):
+            assert d == pytest.approx(e, abs=1e-12)
 
 
 def test_rk4_does_not_mutate_phases():
     graph, keys = complete_unit_graph(3)
     assign_phases(graph, random.Random(2))
-    before = [graph.vertices[k].theta for k in keys]
+    before = list(graph.theta)
     rk4_step(graph, h=0.01)
-    assert [graph.vertices[k].theta for k in keys] == before
+    assert graph.theta == before
 
 
 def test_rk4_rejects_bad_step():
@@ -289,27 +296,17 @@ def test_multi_step_drives_complete_graph_to_synchrony():
     rng = random.Random(17)
     graph, keys = complete_unit_graph(8)
     for k in keys:
-        graph.vertices[k].theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
-        graph.vertices[k].omega = 0.0
-    r = order_parameter([graph.vertices[k].theta for k in keys])
+        graph.theta[k] = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
+        graph.omega[k] = 0.0
+    r = order_parameter(graph.theta)
     for _ in range(100_000):
         if r >= 0.99:
             break
         delta = rk4_step(graph, h=0.01)
         for k in keys:
-            graph.vertices[k].theta += delta[k]
-        r_next = order_parameter([graph.vertices[k].theta for k in keys])
+            graph.theta[k] += delta[k]
+        r_next = order_parameter(graph.theta)
         assert r_next >= r - 1e-9
         r = r_next
     assert r >= 0.99
 
-
-def test_dump_edges_format():
-    graph = build_fig5_graph()
-    out = io.StringIO()
-    graph.dump_edges(out)
-    lines = out.getvalue().strip().splitlines()
-    assert len(lines) == len(FIG5_EDGES)
-    for line in lines:
-        a, b, w = line.split()
-        assert int(w) in (2, 3, 4) and int(a) != int(b)
