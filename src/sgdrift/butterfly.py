@@ -4,8 +4,9 @@ The window accumulates deduplicated edges between burst boundaries and is
 cleared entirely after each projection. A butterfly is a (2,2)-biclique;
 it is *young* when both of its right-partition vertices were last touched
 at a timestamp inside the most recent x-fraction of seen unique timestamps
-(x = 25% by default). Enumeration is wedge-based: every pair of young
-j-vertices contributes one butterfly per pair of common i-neighbours.
+(x = 25% by default), ranked by when each timestamp was first seen.
+Enumeration is wedge-based: every pair of young j-vertices contributes one
+butterfly per pair of common i-neighbours.
 """
 
 from __future__ import annotations
@@ -72,20 +73,24 @@ class BipartiteWindow:
         self._i_of_j.clear()
 
 
-def young_timestamps(ordered_unique: list[int], x: float) -> set[int]:
-    """Suffix of ceil(x*n) timestamps from the first-seen-order history.
+def young_timestamps(seen: dict[int, int], x: float, candidates) -> set[int]:
+    """The timestamps among ``candidates`` that rank in the newest ceil(x*n).
 
-    The ceiling is taken over the decimal value of ``x`` exactly, so
-    fractions like 0.07 never overshoot by one at multiples of n.
+    ``seen`` maps each of the n unique timestamps to its first-seen rank
+    (0 for the oldest). A timestamp is young when its rank is at least
+    n - ceil(x*n), which picks the same ceil(x*n)-suffix of the first-seen
+    order at the cost of one lookup per candidate; a candidate never seen
+    is not young. The ceiling is taken over the decimal value of ``x``
+    exactly, so fractions like 0.07 never overshoot by one at multiples
+    of n.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("x must be in (0, 1]")
-    n = len(ordered_unique)
-    if n == 0:
-        return set()
+    n = len(seen)
     fraction = Fraction(str(x))
-    k = -((-n * fraction.numerator) // fraction.denominator)
-    return set(ordered_unique[-k:])
+    cut = n + ((-n * fraction.numerator) // fraction.denominator)
+    rank = seen.get
+    return {tau for tau in candidates if rank(tau, -1) >= cut}
 
 
 def enumerate_young(window: BipartiteWindow, young: set[int]) -> list[ButterflyKey]:

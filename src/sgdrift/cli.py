@@ -190,12 +190,14 @@ def _detect_stream(lines, args, emit, on_record=None) -> None:
         sgdd_state = SgddState(config=SgddConfig(
             x=args.x, sigma=args.sigma, seed=args.seed,
             variant=args.variant, sprime_strategy=args.sprime))
+    delimiter = args.delimiter
+    skip_errors = args.on_error == "skip"
     t = 0
     for lineno, line in enumerate(lines, start=1):
         try:
-            record = parse_sgr(line, t + 1, args.delimiter)
+            record = parse_sgr(line, t + 1, delimiter)
         except SgrParseError as exc:
-            if args.on_error == "skip":
+            if skip_errors:
                 continue
             raise DataError(f"line {lineno}: {exc}") from None
         if record is None:

@@ -136,14 +136,16 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     participates in the young suffix.
     """
     state.t += 1
-    event = ingest(state.profile, r)
-    state.window_graph.add(r.i, r.j, r.tau)
-    if not event.starts_window:
+    starts_window = ingest(state.profile, r)
+    window_graph = state.window_graph
+    window_graph.add(r.i, r.j, r.tau)
+    if not starts_window:
         return None
     graph = state.graph
-    young = young_timestamps(state.profile.order, state.config.x)
+    young = young_timestamps(state.profile.seen, state.config.x,
+                             window_graph.j_last_tau.values())
     size_before = len(graph)
-    project(state.window_graph, graph, young)
+    project(window_graph, graph, young)
     assign_phases(graph, state.rng, state.config.sigma)
     if graph.vertices:
         # Edges only arrive with new vertices and phases depend on the

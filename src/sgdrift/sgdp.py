@@ -16,6 +16,8 @@ one signal even with the full factor schedule.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,17 +78,21 @@ class SgdpConfig:
 
 @dataclass
 class SgdpState:
-    """Predictor state for one stream."""
+    """Predictor state for one stream.
+
+    ``series`` holds one average burst size per window as a packed array of
+    doubles, 8 bytes a window instead of a list's pointer plus float object.
+    """
 
     config: SgdpConfig = field(default_factory=SgdpConfig)
     profile: BurstProfile = field(default_factory=BurstProfile)
-    series: list[float] = field(default_factory=list)
+    series: array = field(default_factory=lambda: array("d"))
     drift_windows: list[int] = field(default_factory=lambda: [0])
     window: int = 1
     t: int = 0
 
 
-def cds_bursts(maximum: float, average: float, series: list[float], window: int,
+def cds_bursts(maximum: float, average: float, series: Sequence[float], window: int,
                t: int, drift_windows: list[int], f: float,
                variant: str = "default") -> DriftSignal | None:
     """Drift check over the burst-size series for one threshold factor.
@@ -126,18 +132,19 @@ def sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
     factor so a signal blocks the remaining factors for this window.
     """
     state.t += 1
-    event = ingest_timestamp(state.profile, tau)
+    if not ingest_timestamp(state.profile, tau):
+        return []
+    profile = state.profile
+    state.series.append(profile.average)
     fired: list[DriftSignal] = []
-    if event.starts_window:
-        state.series.append(state.profile.average)
-        for f in state.config.f_schedule:
-            if state.window - state.drift_windows[-1] > state.profile.average:
-                signal = cds_bursts(state.profile.maximum, state.profile.average,
-                                    state.series, state.window, state.t,
-                                    state.drift_windows, f, state.config.variant)
-                if signal is not None:
-                    fired.append(signal)
-        state.window += 1
+    for f in state.config.f_schedule:
+        if state.window - state.drift_windows[-1] > profile.average:
+            signal = cds_bursts(profile.maximum, profile.average,
+                                state.series, state.window, state.t,
+                                state.drift_windows, f, state.config.variant)
+            if signal is not None:
+                fired.append(signal)
+    state.window += 1
     return fired
 
 

@@ -3,8 +3,9 @@
 A stream is an unbounded sequence of timestamped weighted edges. Records
 carrying the same source timestamp arrive together as a burst; the profile
 tracks the current burst size, the running average and maximum of closed
-burst sizes, and the set of timestamps seen so far. Both detectors drive
-their burst-adaptive windows off the events this module emits.
+burst sizes, and the first-seen rank of every timestamp seen so far. Both
+detectors drive their burst-adaptive windows off the window-start flag
+that ingestion returns.
 
 One deliberate quirk is preserved from the underlying update rule: the
 average folds in a closed burst only when a *new* timestamp arrives, so the
@@ -16,14 +17,14 @@ counter rather than reopening the original burst.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class SgrParseError(ValueError):
     """Raised when a stream line cannot be parsed into a record."""
 
 
-@dataclass(frozen=True)
-class SGR:
+class SGR(NamedTuple):
     """One streaming graph record: an edge plus its source timestamp.
 
     ``i`` and ``j`` are opaque vertex tokens from the left and right
@@ -39,100 +40,52 @@ class SGR:
     t: int
 
 
-@dataclass(frozen=True)
-class BurstStats:
-    """Immutable snapshot of the burstiness counters."""
-
-    current: int
-    average: float
-    maximum: int
-    closed: int
-
-
-@dataclass(frozen=True)
-class IngestEvent:
-    """Outcome of feeding one record to the profile.
-
-    ``starts_window`` is true when the record's timestamp is unseen and at
-    least two timestamps were already known, i.e. a burst boundary that both
-    detectors treat as a window close. ``starts_window`` implies
-    ``new_timestamp``.
-    """
-
-    new_timestamp: bool
-    starts_window: bool
-    stats: BurstStats
-
-
-@dataclass
-class Burst:
-    """A maximal group of records sharing one (tau, arrival-time) pair."""
-
-    tau: int
-    arrival: int
-    records: list[SGR]
-
-
 @dataclass
 class BurstProfile:
     """Online burstiness state, mutated by :func:`ingest`.
 
-    ``seen`` holds every timestamp observed; ``order`` keeps the unique
-    timestamps in first-seen order, which the young-butterfly filter
-    indexes. Both grow without bound by default; :meth:`compact` trims them
-    at the cost of treating re-arrivals of dropped timestamps as new bursts.
+    ``seen`` maps every timestamp observed to its first-seen rank (0, 1,
+    ...); its insertion order is the first-seen order that the
+    young-butterfly filter reads. It grows without bound.
     """
 
     current: int = 1
     average: float = 0.0
     maximum: int = 0
-    closed: int = 0
-    seen: set[int] = field(default_factory=set)
-    order: list[int] = field(default_factory=list)
+    seen: dict[int, int] = field(default_factory=dict)
 
-    def stats(self) -> BurstStats:
-        return BurstStats(self.current, self.average, self.maximum, self.closed)
-
-    def compact(self, keep: int) -> None:
-        """Keep only the ``keep`` most recent unique timestamps.
-
-        Off the ingestion path by default. After compaction a late arrival
-        of a dropped timestamp opens a new burst instead of extending the
-        current one.
-        """
-        if keep < 0:
-            raise ValueError("keep must be non-negative")
-        if len(self.order) > keep:
-            self.order = self.order[-keep:] if keep else []
-            self.seen = set(self.order)
+    @property
+    def closed(self) -> int:
+        """Number of bursts folded into the average: one per unique timestamp."""
+        return len(self.seen)
 
 
-def ingest_timestamp(profile: BurstProfile, tau: int) -> IngestEvent:
+def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
     """Advance the profile with one record's timestamp.
 
-    Follows the per-record update literally: the membership test and the
-    burst count are evaluated against the pre-insert timestamp set, the
-    average folds the current burst only on a new timestamp, and the
-    timestamp is recorded afterwards in both branches.
+    Returns True when the record starts a window: its timestamp is unseen
+    and at least two timestamps were already known, a burst boundary that
+    both detectors treat as a window close. A seen timestamp only extends
+    the current burst; a new one folds the current burst into the average
+    (against the pre-insert count) and opens a burst of one.
     """
-    closed_pre = len(profile.seen)
-    is_new = tau not in profile.seen
-    if not is_new:
-        profile.current += 1
-    else:
-        profile.average = (profile.average * closed_pre + profile.current) / (closed_pre + 1)
-        profile.current = 1
-    if profile.current > profile.maximum:
-        profile.maximum = profile.current
-    starts_window = is_new and closed_pre > 1
-    profile.seen.add(tau)
-    if is_new:
-        profile.order.append(tau)
-    profile.closed = len(profile.seen)
-    return IngestEvent(is_new, starts_window, profile.stats())
+    seen = profile.seen
+    if tau in seen:
+        current = profile.current + 1
+        profile.current = current
+        if current > profile.maximum:
+            profile.maximum = current
+        return False
+    closed = len(seen)
+    profile.average = (profile.average * closed + profile.current) / (closed + 1)
+    profile.current = 1
+    if profile.maximum < 1:
+        profile.maximum = 1
+    seen[tau] = closed
+    return closed > 1
 
 
-def ingest(profile: BurstProfile, r: SGR) -> IngestEvent:
+def ingest(profile: BurstProfile, r: SGR) -> bool:
     """Feed one record to the profile. Only its timestamp is read."""
     return ingest_timestamp(profile, r.tau)
 
@@ -141,7 +94,8 @@ def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
     """Parse one delimited stream line into a record with arrival index ``t``.
 
     Returns None for blank lines (skip signal). Raises :class:`SgrParseError`
-    naming the offending field otherwise.
+    naming the offending field otherwise. Surrounding whitespace is
+    dropped from the line and from every field.
     """
     stripped = line.strip()
     if not stripped:
@@ -149,37 +103,34 @@ def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
     parts = stripped.split(delimiter)
     if len(parts) != 4:
         raise SgrParseError(f"expected 4 fields, got {len(parts)}")
-    i, j, omega_s, tau_s = (p.strip() for p in parts)
+    i, j, omega_s, tau_s = parts
+    i = i.strip()
     if not i:
         raise SgrParseError("field 1 (i) is empty")
+    j = j.strip()
     if not j:
         raise SgrParseError("field 2 (j) is empty")
+    # float() and int() ignore surrounding whitespace themselves, so only a
+    # failed conversion pays for the strip.
     try:
         omega = float(omega_s)
     except ValueError:
-        raise SgrParseError(f"field 3 (omega) is not a real number: {omega_s!r}") from None
+        omega = _convert_stripped(float, omega_s, "field 3 (omega) is not a real number")
     try:
         tau = int(tau_s)
     except ValueError:
-        raise SgrParseError(f"field 4 (tau) is not an integer: {tau_s!r}") from None
+        tau = _convert_stripped(int, tau_s, "field 4 (tau) is not an integer")
     return SGR(i, j, omega, tau, t)
 
 
-def parse_labeled_sgr(line: str, t: int, delimiter: str = ",") -> tuple[SGR, int] | None:
-    """Parse the offline oracle format, which appends an arrival-time field."""
-    stripped = line.strip()
-    if not stripped:
-        return None
-    parts = stripped.split(delimiter)
-    if len(parts) != 5:
-        raise SgrParseError(f"expected 5 fields, got {len(parts)}")
-    record = parse_sgr(delimiter.join(parts[:4]), t, delimiter)
-    assert record is not None
+def _convert_stripped(kind, text: str, message: str):
+    # str.strip() also drops the separators U+001C..U+001F, which float()
+    # and int() keep, so a field padded with them converts only here.
+    text = text.strip()
     try:
-        arrival = int(parts[4].strip())
+        return kind(text)
     except ValueError:
-        raise SgrParseError(f"field 5 (arrival) is not an integer: {parts[4]!r}") from None
-    return record, arrival
+        raise SgrParseError(f"{message}: {text!r}") from None
 
 
 def read_sgr_stream(lines, delimiter: str = ","):
@@ -198,21 +149,3 @@ def read_sgr_stream(lines, delimiter: str = ","):
             continue
         t += 1
         yield record
-
-
-def segment_bursts(records) -> list[Burst]:
-    """Offline oracle: group (record, arrival) pairs into bursts.
-
-    A burst is the maximal set of records sharing both the source timestamp
-    and the arrival time; bursts are ordered by their first member's
-    position in the input.
-    """
-    bursts: dict[tuple[int, int], Burst] = {}
-    for record, arrival in records:
-        key = (record.tau, arrival)
-        burst = bursts.get(key)
-        if burst is None:
-            bursts[key] = Burst(record.tau, arrival, [record])
-        else:
-            burst.records.append(record)
-    return list(bursts.values())

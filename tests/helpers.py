@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
+from sgdrift.stream_model import SGR, SgrParseError, parse_sgr
 from sgdrift.uwgo import OscillatorGraph
 
 # Worked-example window: solid edges form eight butterflies connected
@@ -53,6 +56,11 @@ def fig5_window() -> tuple[BipartiteWindow, set[int]]:
     for i, j in FIG5_DOTTED:
         window.add(i, j, FIG5_STALE_TAU if j == "j0" else FIG5_YOUNG_TAU)
     return window, {FIG5_YOUNG_TAU}
+
+
+def first_seen_ranks(order) -> dict[int, int]:
+    """The rank map a profile builds from unique timestamps in first-seen order."""
+    return {tau: rank for rank, tau in enumerate(order)}
 
 
 def brute_force_butterflies(edges: set[tuple[str, str]],
@@ -154,8 +162,125 @@ def order_parameter_oracle(phases) -> float:
 
 def taus_to_records(taus, rng: random.Random | None = None):
     """Wrap a timestamp sequence into records with arbitrary payloads."""
-    from sgdrift.stream_model import SGR
     rng = rng or random.Random(0)
     return [SGR(f"u{rng.randint(0, 50)}", f"v{rng.randint(0, 50)}",
                 round(rng.uniform(0.1, 5.0), 3), tau, t)
             for t, tau in enumerate(taus, start=1)]
+
+
+# --- stream-model oracles -------------------------------------------------------
+
+@dataclass
+class Burst:
+    """A maximal group of records sharing one (tau, arrival-time) pair."""
+
+    tau: int
+    arrival: int
+    records: list[SGR]
+
+
+def segment_bursts(records) -> list[Burst]:
+    """Offline oracle: group (record, arrival) pairs into bursts.
+
+    A burst is the maximal set of records sharing both the source timestamp
+    and the arrival time; bursts are ordered by their first member's
+    position in the input.
+    """
+    bursts: dict[tuple[int, int], Burst] = {}
+    for record, arrival in records:
+        key = (record.tau, arrival)
+        burst = bursts.get(key)
+        if burst is None:
+            bursts[key] = Burst(record.tau, arrival, [record])
+        else:
+            burst.records.append(record)
+    return list(bursts.values())
+
+
+def parse_labeled_sgr(line: str, t: int, delimiter: str = ",") -> tuple[SGR, int] | None:
+    """Parse the offline oracle format, which appends an arrival-time field."""
+    stripped = line.strip()
+    if not stripped:
+        return None
+    parts = stripped.split(delimiter)
+    if len(parts) != 5:
+        raise SgrParseError(f"expected 5 fields, got {len(parts)}")
+    record = parse_sgr(delimiter.join(parts[:4]), t, delimiter)
+    assert record is not None
+    try:
+        arrival = int(parts[4].strip())
+    except ValueError:
+        raise SgrParseError(f"field 5 (arrival) is not an integer: {parts[4]!r}") from None
+    return record, arrival
+
+
+@dataclass
+class ReferenceProfile:
+    """Burst profile kept the literal way: a timestamp set plus a first-seen list."""
+
+    current: int = 1
+    average: float = 0.0
+    maximum: int = 0
+    closed: int = 0
+    seen: set[int] = field(default_factory=set)
+    order: list[int] = field(default_factory=list)
+
+
+def reference_ingest(profile: ReferenceProfile, tau: int) -> tuple[bool, bool]:
+    """The per-record update read literally; returns (new_timestamp, starts_window).
+
+    The membership test and the burst count are evaluated against the
+    pre-insert timestamp set, the average folds the current burst only on a
+    new timestamp, and the timestamp is recorded afterwards in both branches.
+    """
+    closed_pre = len(profile.seen)
+    is_new = tau not in profile.seen
+    if not is_new:
+        profile.current += 1
+    else:
+        profile.average = (profile.average * closed_pre + profile.current) / (closed_pre + 1)
+        profile.current = 1
+    if profile.current > profile.maximum:
+        profile.maximum = profile.current
+    starts_window = is_new and closed_pre > 1
+    profile.seen.add(tau)
+    if is_new:
+        profile.order.append(tau)
+    profile.closed = len(profile.seen)
+    return is_new, starts_window
+
+
+def reference_young(ordered_unique: list[int], x: float) -> set[int]:
+    """Suffix of ceil(x*n) timestamps from the first-seen-order history."""
+    if not 0.0 < x <= 1.0:
+        raise ValueError("x must be in (0, 1]")
+    n = len(ordered_unique)
+    if n == 0:
+        return set()
+    fraction = Fraction(str(x))
+    k = -((-n * fraction.numerator) // fraction.denominator)
+    return set(ordered_unique[-k:])
+
+
+def reference_parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
+    """Parse a stream line by stripping the line and then every field."""
+    stripped = line.strip()
+    if not stripped:
+        return None
+    parts = stripped.split(delimiter)
+    if len(parts) != 4:
+        raise SgrParseError(f"expected 4 fields, got {len(parts)}")
+    i, j, omega_s, tau_s = (p.strip() for p in parts)
+    if not i:
+        raise SgrParseError("field 1 (i) is empty")
+    if not j:
+        raise SgrParseError("field 2 (j) is empty")
+    try:
+        omega = float(omega_s)
+    except ValueError:
+        raise SgrParseError(f"field 3 (omega) is not a real number: {omega_s!r}") from None
+    try:
+        tau = int(tau_s)
+    except ValueError:
+        raise SgrParseError(f"field 4 (tau) is not an integer: {tau_s!r}") from None
+    return SGR(i, j, omega, tau, t)

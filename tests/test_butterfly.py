@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import (FIG5_BUTTERFLIES, brute_force_butterflies, fig5_window,
-                     random_bipartite_window)
+                     first_seen_ranks, random_bipartite_window)
 from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
                                young_timestamps)
 
@@ -26,28 +26,40 @@ def test_key_rejects_degenerate_vertices():
 
 # --- youth suffix ---------------------------------------------------------------
 
+def _young(order, x):
+    """Young timestamps of a whole first-seen history."""
+    ranks = first_seen_ranks(order)
+    return young_timestamps(ranks, x, ranks)
+
+
 def test_young_full_fraction_is_whole_history():
-    history = [3, 1, 4, 1, 5]  # caller deduplicates; order list is unique
-    assert young_timestamps([3, 1, 4, 5], 1.0) == {3, 1, 4, 5}
+    history = [3, 1, 4, 1, 5]  # the profile deduplicates; ranks are unique
+    assert _young([3, 1, 4, 5], 1.0) == {3, 1, 4, 5}
 
 
 def test_young_quarter_of_eight():
-    assert young_timestamps(list(range(1, 9)), 0.25) == {7, 8}
+    assert _young(range(1, 9), 0.25) == {7, 8}
 
 
 def test_young_single_element_ceiling():
-    assert young_timestamps([5], 0.25) == {5}
+    assert _young([5], 0.25) == {5}
 
 
 def test_young_empty_history():
-    assert young_timestamps([], 0.25) == set()
+    assert _young([], 0.25) == set()
 
 
 def test_young_rejects_bad_fraction():
     with pytest.raises(ValueError):
-        young_timestamps([1], 0.0)
+        _young([1], 0.0)
     with pytest.raises(ValueError):
-        young_timestamps([1], 1.5)
+        _young([1], 1.5)
+
+
+def test_young_tests_only_the_candidates():
+    ranks = first_seen_ranks(range(1, 9))
+    assert young_timestamps(ranks, 0.25, [2, 7, 7, 99]) == {7}
+    assert young_timestamps(ranks, 0.25, []) == set()
 
 
 # --- window bookkeeping ----------------------------------------------------------

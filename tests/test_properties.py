@@ -1,0 +1,87 @@
+"""Property tests: the stream model against its literal reference versions.
+
+The profile keeps one first-seen rank map and answers youth by a rank
+threshold; the references keep a timestamp set plus a first-seen list and
+take the youth suffix from that list. Generated timestamp sequences mix
+bursts, repeats, late arrivals of old timestamps and decreasing values.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (ReferenceProfile, reference_ingest, reference_parse_sgr,
+                     reference_young)
+from sgdrift.butterfly import young_timestamps
+from sgdrift.stream_model import BurstProfile, SgrParseError, ingest_timestamp, parse_sgr
+
+# Runs of one timestamp (bursts), drawn from a small range so that values
+# repeat, come back late and go down as well as up.
+bursts = st.lists(st.tuples(st.integers(-10, 40), st.integers(1, 6)), max_size=60)
+fractions = st.one_of(st.sampled_from([0.01, 0.07, 0.1, 0.25, 0.5, 0.99, 1.0]),
+                      st.floats(min_value=1e-3, max_value=1.0))
+
+
+def _expand(runs):
+    return [tau for tau, length in runs for _ in range(length)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bursts)
+def test_ingest_matches_reference_after_every_record(runs):
+    profile, reference = BurstProfile(), ReferenceProfile()
+    for tau in _expand(runs):
+        starts_window = ingest_timestamp(profile, tau)
+        _, expected = reference_ingest(reference, tau)
+        assert starts_window == expected
+        assert profile.current == reference.current
+        assert profile.average == reference.average
+        assert profile.maximum == reference.maximum
+        assert profile.closed == reference.closed
+        assert list(profile.seen) == reference.order
+
+
+@settings(max_examples=200, deadline=None)
+@given(bursts, fractions, st.lists(st.integers(-15, 45), max_size=12))
+def test_young_matches_first_seen_suffix(runs, x, candidates):
+    profile, reference = BurstProfile(), ReferenceProfile()
+    for tau in _expand(runs):
+        ingest_timestamp(profile, tau)
+        reference_ingest(reference, tau)
+        expected = reference_young(reference.order, x)
+        assert young_timestamps(profile.seen, x, profile.seen) == expected
+        # Candidates include unseen timestamps, which are never young.
+        assert young_timestamps(profile.seen, x, candidates) == expected & set(candidates)
+
+
+# Field text: numbers, words, empty strings and delimiter-free junk, padded
+# with ASCII and Unicode whitespace.
+spaces = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x85\xa0 　", max_size=3)
+tokens = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "1.5e3", "4.2", "1_000", "0x10", "inf", "-0", "١٢"]),
+    st.text(alphabet="ab9.-+e_ ", max_size=5),
+)
+padded = st.builds(lambda a, tok, b: a + tok + b, spaces, tokens, spaces)
+
+
+def _outcome(parse, line, delimiter):
+    try:
+        return parse(line, 7, delimiter)
+    except SgrParseError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(padded, min_size=0, max_size=6), st.sampled_from([",", "|", ";", "\t"]),
+       spaces)
+def test_parse_matches_reference(fields, delimiter, tail):
+    line = delimiter.join(fields) + tail
+    assert _outcome(parse_sgr, line, delimiter) == _outcome(reference_parse_sgr, line,
+                                                            delimiter)
+
+
+@given(spaces)
+def test_blank_line_is_skipped_like_reference(line):
+    assert parse_sgr(line, 1) is None
+    assert reference_parse_sgr(line, 1) is None

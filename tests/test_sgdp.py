@@ -131,7 +131,7 @@ def test_two_records_never_reach_window_logic():
     state = SgdpState()
     assert sgdp_step(state, 1) == []
     assert sgdp_step(state, 2) == []
-    assert state.window == 1 and state.series == []
+    assert state.window == 1 and len(state.series) == 0
 
 
 def test_pair_bursts_average_rises_toward_two():

@@ -1,15 +1,26 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
+from helpers import parse_labeled_sgr, segment_bursts
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest,
-                                  ingest_timestamp, parse_labeled_sgr,
-                                  parse_sgr, read_sgr_stream, segment_bursts)
+                                  ingest_timestamp, parse_sgr, read_sgr_stream)
+
+
+class Event(NamedTuple):
+    new_timestamp: bool
+    starts_window: bool
 
 
 def feed(taus):
+    """Ingest ``taus``; a record's timestamp is new when it grew ``closed``."""
     profile = BurstProfile()
-    events = [ingest_timestamp(profile, tau) for tau in taus]
+    events = []
+    for tau in taus:
+        closed = profile.closed
+        starts_window = ingest_timestamp(profile, tau)
+        events.append(Event(profile.closed > closed, starts_window))
     return profile, events
 
 
@@ -108,6 +119,7 @@ def test_ingest_reads_only_tau_via_record():
     e1 = ingest(profile1, SGR("a", "b", 1.0, 3, 1))
     e2 = ingest_timestamp(profile2, 3)
     assert e1 == e2
+    assert profile1 == profile2
 
 
 def test_replay_determinism():
@@ -165,22 +177,12 @@ def test_profile_invariants_hold_throughout():
         assert profile.current >= 1
         assert profile.maximum >= profile.current
         assert 1.0 <= profile.average <= profile.maximum
-        assert len(profile.seen) == len(profile.order)
+        assert list(profile.seen.values()) == list(range(profile.closed))
 
 
 def test_order_keeps_first_seen_order():
     profile, _ = feed([5, 3, 5, 9, 3, 1])
-    assert profile.order == [5, 3, 9, 1]
-
-
-def test_compact_trims_history():
-    profile, _ = feed([1, 2, 3, 4, 5])
-    profile.compact(2)
-    assert profile.order == [4, 5]
-    assert profile.seen == {4, 5}
-    # a dropped timestamp now reads as new
-    event = ingest_timestamp(profile, 1)
-    assert event.new_timestamp
+    assert list(profile.seen) == [5, 3, 9, 1]
 
 
 # --- burst segmentation oracle ------------------------------------------------
