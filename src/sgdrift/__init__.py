@@ -23,14 +23,13 @@ from .sgdd import SgddConfig, SgddState, cdc_butterfly, run_sgdd, sgdd_step
 from .sgdp import (SgdpConfig, SgdpState, cds_bursts, run_sgdp, sgdp_step,
                    suffix_size)
 from .signals import DriftSignal
-from .stream_model import (SGR, BurstProfile, SgrParseError, ingest, parse_sgr,
-                           read_sgr_stream)
+from .stream_model import SGR, BurstProfile, SgrParseError, ingest, parse_sgr
 from .uwgo import (OscillatorGraph, assign_phases, butterfly_ident,
                    order_parameter, project, rk4_step)
 
 __all__ = [
     "__version__",
-    "SGR", "BurstProfile", "SgrParseError", "ingest", "parse_sgr", "read_sgr_stream",
+    "SGR", "BurstProfile", "SgrParseError", "ingest", "parse_sgr",
     "BipartiteWindow", "ButterflyKey", "enumerate_young", "young_timestamps",
     "OscillatorGraph", "assign_phases", "butterfly_ident",
     "order_parameter", "project", "rk4_step",

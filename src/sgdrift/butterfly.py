@@ -12,8 +12,9 @@ butterfly per pair of common i-neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+
+from .sgdp import count_threshold
 
 
 @dataclass(frozen=True, order=True)
@@ -39,7 +40,7 @@ class ButterflyKey:
 
 
 class BipartiteWindow:
-    """Edge set of the current burst window, with per-j touch timestamps.
+    """Edges of the current burst window as per-j neighbour sets.
 
     ``add`` deduplicates (i, j) pairs but records every touch: the last
     timestamp at which a j-vertex appeared in any record decides its youth.
@@ -48,27 +49,25 @@ class BipartiteWindow:
     """
 
     def __init__(self) -> None:
-        self.edges: set[tuple[str, str]] = set()
         self.j_last_tau: dict[str, int] = {}
         self._i_of_j: dict[str, set[str]] = {}
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._i_of_j.values()))
 
     def add(self, i: str, j: str, tau: int) -> bool:
         """Record one arriving edge; returns True when the pair is new."""
         self.j_last_tau[j] = tau
-        if (i, j) in self.edges:
+        neighbors = self._i_of_j.setdefault(j, set())
+        if i in neighbors:
             return False
-        self.edges.add((i, j))
-        self._i_of_j.setdefault(j, set()).add(i)
+        neighbors.add(i)
         return True
 
     def i_neighbors(self, j: str) -> set[str]:
         return self._i_of_j.get(j, set())
 
     def clear(self) -> None:
-        self.edges.clear()
         self.j_last_tau.clear()
         self._i_of_j.clear()
 
@@ -80,15 +79,13 @@ def young_timestamps(seen: dict[int, int], x: float, candidates) -> set[int]:
     (0 for the oldest). A timestamp is young when its rank is at least
     n - ceil(x*n), which picks the same ceil(x*n)-suffix of the first-seen
     order at the cost of one lookup per candidate; a candidate never seen
-    is not young. The ceiling is taken over the decimal value of ``x``
-    exactly, so fractions like 0.07 never overshoot by one at multiples
-    of n.
+    is not young. The ceiling is the exact decimal one of
+    :func:`~sgdrift.sgdp.count_threshold`.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("x must be in (0, 1]")
     n = len(seen)
-    fraction = Fraction(str(x))
-    cut = n + ((-n * fraction.numerator) // fraction.denominator)
+    cut = n - count_threshold(n, x)
     rank = seen.get
     return {tau for tau in candidates if rank(tau, -1) >= cut}
 
@@ -100,8 +97,7 @@ def enumerate_young(window: BipartiteWindow, young: set[int]) -> list[ButterflyK
     intersected and every i-pair inside it yields one key. The output is
     sorted and duplicate-free by construction.
     """
-    young_js = sorted(j for j, tau in window.j_last_tau.items()
-                      if tau in young and j in window._i_of_j)
+    young_js = sorted(j for j, tau in window.j_last_tau.items() if tau in young)
     found: list[ButterflyKey] = []
     for j1, j2 in combinations(young_js, 2):
         common = window.i_neighbors(j1) & window.i_neighbors(j2)

@@ -7,7 +7,7 @@ lines so downstream consumers can tail them live.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Defaults honour
 environment variable overrides (SGDRIFT_SEED, SGDRIFT_F_SCHEDULE,
-SGDRIFT_X, SGDRIFT_SIGMA, SGDRIFT_VARIANT, SGDRIFT_SPRIME).
+SGDRIFT_X, SGDRIFT_SIGMA, SGDRIFT_VARIANT), parsed like their flags.
 """
 
 from __future__ import annotations
@@ -77,20 +77,17 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     """Detector knobs, shared by every subcommand that runs a detector."""
     parser.add_argument("--f-schedule", default=_env("F_SCHEDULE", "default"),
                         help="'default' (0.3), 'full', or comma-separated factors")
-    parser.add_argument("--x", type=float, default=float(_env("X", 0.25)))
-    parser.add_argument("--sigma", type=float, default=float(_env("SIGMA", 1.0)))
-    parser.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    parser.add_argument("--x", type=float, default=_env("X", "0.25"))
+    parser.add_argument("--sigma", type=float, default=_env("SIGMA", "1.0"))
+    parser.add_argument("--seed", type=int, default=_env("SEED", "0"))
     parser.add_argument("--variant", choices=("default", "appendix"),
                         default=_env("VARIANT", "default"))
-    parser.add_argument("--sprime", choices=("decreasing", "literal"),
-                        default=_env("SPRIME", "decreasing"))
     parser.add_argument("--on-error", choices=("abort", "skip"), default="abort")
 
 
 def _detector_knobs(args) -> dict:
     return {"f_schedule": args.f_schedule, "x": args.x, "sigma": args.sigma,
-            "seed": args.seed, "variant": args.variant, "sprime": args.sprime,
-            "on_error": args.on_error}
+            "seed": args.seed, "variant": args.variant, "on_error": args.on_error}
 
 
 def build_parser() -> _Parser:
@@ -104,7 +101,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--pattern", choices=PATTERNS, required=True)
     gen.add_argument("--delta", type=int, required=True, help="drift interval in records")
     gen.add_argument("--n", type=int, required=True, help="total records")
-    gen.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    gen.add_argument("--seed", type=int, default=_env("SEED", "0"))
     gen.add_argument("--prefix-len", type=int, default=1000)
     gen.add_argument("--rho", type=float, default=0.3, help="regime-0 connection probability")
     gen.add_argument("--lmin", type=int, default=1)
@@ -188,8 +185,7 @@ def _detect_stream(lines, args, emit, on_record=None) -> None:
             f_schedule=_parse_f_schedule(args.f_schedule), variant=args.variant))
     if args.mode in ("sgdd", "both"):
         sgdd_state = SgddState(config=SgddConfig(
-            x=args.x, sigma=args.sigma, seed=args.seed,
-            variant=args.variant, sprime_strategy=args.sprime))
+            x=args.x, sigma=args.sigma, seed=args.seed, variant=args.variant))
     delimiter = args.delimiter
     skip_errors = args.on_error == "skip"
     t = 0

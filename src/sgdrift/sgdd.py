@@ -13,11 +13,10 @@ local extremum, and the last signal lies more than ten windows back:
       strictly greater than O2[W] or at least S' are strictly less
   C3: W - last signalled window > 10
 
-S adapts to the burst-size extremes and S' shrinks as detections
-accumulate (default strategy max(1, ceil(S/d))). The ``literal`` strategy
-keeps the raw (1-d)*S expression for audit purposes; it makes the O1
-suffix empty for every d >= 1, so C1 can never hold and that strategy
-never signals.
+S adapts to the burst-size extremes and S' = max(1, ceil(S/d)) shrinks as
+detections accumulate. The raw (1-d)*S reading of S' is not offered: it is
+at most 0 for every d >= 1, so the O1 suffix would be empty, C1 could
+never hold and the detector would never signal.
 
 Windows that close while the graph is still empty carry the previous O1/O2
 values forward (0 for the first) so the series stay aligned with the
@@ -26,7 +25,6 @@ window counter.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from statistics import fmean
@@ -37,23 +35,17 @@ from .signals import DriftSignal, now_ms
 from .stream_model import BurstProfile, SGR, ingest
 from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_step
 
-SPRIME_STRATEGIES = ("decreasing", "literal")
-
 
 @dataclass
 class SgddConfig:
     x: float = 0.25
     sigma: float = 1.0
     seed: int | None = None
-    step: float = 0.01
     variant: str = "default"
-    sprime_strategy: str = "decreasing"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.x <= 1.0:
             raise ValueError("youth fraction x must be in (0, 1]")
-        if self.sprime_strategy not in SPRIME_STRATEGIES:
-            raise ValueError(f"unknown S' strategy: {self.sprime_strategy!r}")
 
 
 @dataclass
@@ -76,17 +68,14 @@ class SgddState:
             self.rng = random.Random(self.config.seed)
 
 
-def sprime_length(s: int, d: int, strategy: str) -> int:
+def sprime_length(s: int, d: int) -> int:
     """Shorter suffix length for the steadiness and extremum conditions."""
-    if strategy == "literal":
-        return (1 - d) * s
     return max(1, -(-s // d))
 
 
 def cdc_butterfly(average: float, maximum: float, o1: list[float], o2: list[float],
                   t: int, window: int, drift_windows: list[int],
-                  variant: str = "default",
-                  sprime_strategy: str = "decreasing") -> DriftSignal | None:
+                  variant: str = "default") -> DriftSignal | None:
     """Drift check over the coherence series for the current window.
 
     ``o1``/``o2`` are indexed by window (element 0 belongs to window 1);
@@ -98,24 +87,19 @@ def cdc_butterfly(average: float, maximum: float, o1: list[float], o2: list[floa
     """
     d = len(drift_windows)
     s = suffix_size(maximum, average, d, variant)
-    sprime = sprime_length(s, d, sprime_strategy)
+    sprime = sprime_length(s, d)
     prior = window - 1
-    if min(prior, len(o2)) < s or min(prior, len(o1)) < max(sprime, 0):
+    if min(prior, len(o2)) < s or min(prior, len(o1)) < sprime:
         return None
     current_o1 = o1[prior]
     current_o2 = o2[prior]
-    o1_suffix = o1[prior - sprime:prior] if sprime >= 1 else []
     suffix = o2[prior - s:prior]
     more = sum(1 for v in suffix if v > current_o2)
     less = sum(1 for v in suffix if v < current_o2)
     alpha = d + 2
     extremum = less >= sprime or more >= sprime
-    if not o1_suffix:
-        steady = False
-        mu1 = math.nan
-    else:
-        mu1 = fmean(o1_suffix)
-        steady = abs(mu1 - current_o1) < 10.0 ** (-alpha)
+    mu1 = fmean(o1[prior - sprime:prior])
+    steady = abs(mu1 - current_o1) < 10.0 ** (-alpha)
     spaced = window - drift_windows[-1] > 10
     if extremum and steady and spaced:
         drift_windows.append(window)
@@ -154,7 +138,7 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
             o1_value = order_parameter([graph.theta[v] for v in graph.order])
         else:
             o1_value = state.o1[-1]
-        delta = rk4_step(graph, state.config.step)
+        delta = rk4_step(graph)
         o2_value = order_parameter([delta[v] for v in graph.order])
     else:
         o1_value = state.o1[-1] if state.o1 else 0.0
@@ -163,8 +147,7 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     state.o2.append(o2_value)
     signal = cdc_butterfly(state.profile.average, state.profile.maximum,
                            state.o1, state.o2, state.t, state.window,
-                           state.drift_windows, state.config.variant,
-                           state.config.sprime_strategy)
+                           state.drift_windows, state.config.variant)
     state.window += 1
     return signal
 

@@ -20,6 +20,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .signals import DriftSignal, now_ms
 from .stream_model import BurstProfile, ingest_timestamp
@@ -58,9 +59,14 @@ def suffix_size(maximum: float, average: float, d: int, variant: str = "default"
     return max(1, -(-num // den))
 
 
+@lru_cache(maxsize=128)
+def _decimal(x: float) -> Fraction:
+    return Fraction(str(x))
+
+
 def count_threshold(s: int, f: float) -> int:
-    """ceil(S * f), computed exactly for decimal threshold factors."""
-    frac = Fraction(str(f))
+    """ceil(S * f) over the decimal value of ``f``, so 0.07 never overshoots."""
+    frac = _decimal(f)
     return -((-s * frac.numerator) // frac.denominator)
 
 

@@ -131,21 +131,3 @@ def _convert_stripped(kind, text: str, message: str):
         return kind(text)
     except ValueError:
         raise SgrParseError(f"{message}: {text!r}") from None
-
-
-def read_sgr_stream(lines, delimiter: str = ","):
-    """Yield records from an iterable of text lines, skipping blank lines.
-
-    Arrival indices are assigned 1, 2, ... in line order. Parse errors
-    propagate with the 1-based line number attached.
-    """
-    t = 0
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            record = parse_sgr(line, t + 1, delimiter)
-        except SgrParseError as exc:
-            raise SgrParseError(f"line {lineno}: {exc}") from None
-        if record is None:
-            continue
-        t += 1
-        yield record

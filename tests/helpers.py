@@ -63,6 +63,11 @@ def first_seen_ranks(order) -> dict[int, int]:
     return {tau: rank for rank, tau in enumerate(order)}
 
 
+def window_edges(window: BipartiteWindow) -> set[tuple[str, str]]:
+    """The window's (i, j) edge set, read back from its per-j neighbour sets."""
+    return {(i, j) for j in window.j_last_tau for i in window.i_neighbors(j)}
+
+
 def brute_force_butterflies(edges: set[tuple[str, str]],
                             young_js: set[str]) -> list[ButterflyKey]:
     """Oracle: test every (i-pair, j-pair) four-subset for biclique closure."""

@@ -10,7 +10,7 @@ import time
 
 from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, brute_force_butterflies,
                      edge_weights, fig5_window, random_bipartite_window,
-                     rk4_reference, unit_weights, weighted_graph)
+                     rk4_reference, unit_weights, weighted_graph, window_edges)
 from sgdrift.butterfly import enumerate_young
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
 from sgdrift.harness import repeated_timing
@@ -80,7 +80,7 @@ def test_acceptance_butterfly_oracle_equivalence():
         young = {2}
         young_js = {j for j, tau in window.j_last_tau.items() if tau in young}
         assert enumerate_young(window, young) == \
-            brute_force_butterflies(set(window.edges), young_js)
+            brute_force_butterflies(window_edges(window), young_js)
     assert time.perf_counter() - started < 5.0
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import (FIG5_BUTTERFLIES, brute_force_butterflies, fig5_window,
-                     first_seen_ranks, random_bipartite_window)
+                     first_seen_ranks, random_bipartite_window, window_edges)
 from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
                                young_timestamps)
 
@@ -98,7 +98,7 @@ def test_complete_3x2_three_butterflies():
     window = _complete_window(3, 2)
     keys = enumerate_young(window, {1})
     assert len(keys) == 3
-    edges = set(window.edges)
+    edges = window_edges(window)
     assert keys == brute_force_butterflies(edges, {j for _, j in edges})
 
 
@@ -121,7 +121,7 @@ def test_matches_brute_force_on_random_windows():
         window = random_bipartite_window(rng)
         young = {2}
         young_js = {j for j, tau in window.j_last_tau.items() if tau in young}
-        expected = brute_force_butterflies(set(window.edges), young_js)
+        expected = brute_force_butterflies(window_edges(window), young_js)
         assert enumerate_young(window, young) == expected
 
 

@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
-from sgdrift.cli import main
-from sgdrift.genstream import read_ground_truth
+from sgdrift.cli import _detect_stream, build_parser, main
+from sgdrift.genstream import (DriftSchedule, GeneratorConfig, generate_to_files,
+                               read_ground_truth)
+from sgdrift.sgdp import run_sgdp
 from sgdrift.signals import DriftSignal
+from test_golden import SGDD_GOLDEN, _digest
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -99,6 +102,54 @@ def test_detect_both_modes_interleaved(tmp_path, capsys):
         ts = [s.t for s in signals if s.mode == mode]
         assert ts == sorted(ts)
     assert (tmp_path / "manifest_detect.json").exists()
+
+
+def test_detect_both_feeds_each_detector_its_single_mode_input(tmp_path):
+    # The golden ("recurring", 3) stream, written to disk and read back by
+    # the CLI: sgdd must reproduce its golden digest while sgdp runs beside
+    # it, and sgdp must match a run on the bare timestamps.
+    stream, truth = tmp_path / "g.stream", tmp_path / "g.truth"
+    generate_to_files(GeneratorConfig(seed=3, prefix_len=500),
+                      DriftSchedule.make("recurring", 500), 3000, stream, truth)
+    out_file = tmp_path / "signals.jsonl"
+    assert main(["detect", "--mode", "both", "--seed", "3", "--input", str(stream),
+                 "--out", str(out_file)]) == 0
+    signals = [DriftSignal.from_json(line) for line in out_file.read_text().splitlines()]
+    sgdd = [s for s in signals if s.mode == "sgdd"]
+    assert _digest(sgdd) == SGDD_GOLDEN[("recurring", 3)]
+    with open(stream, encoding="utf-8") as handle:
+        expected = run_sgdp(int(line.rsplit(",", 1)[1]) for line in handle)
+    assert [s.fingerprint() for s in signals if s.mode == "sgdp"] == \
+        [s.fingerprint() for s in expected]
+
+
+def test_detect_stream_assigns_arrival_in_line_order():
+    args = build_parser().parse_args(["detect", "--mode", "sgdp", "--input", "-"])
+    records = []
+    _detect_stream(["1,2,1.0,10", "", "3,4,1.0,11", "  "], args, print, records.append)
+    assert [r.t for r in records] == [1, 2]
+    assert [r.tau for r in records] == [10, 11]
+
+
+def test_detect_rejects_removed_sprime_flag(capsys):
+    assert main(["detect", "--mode", "sgdd", "--input", "-", "--sprime", "literal"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,value", [("X", "abc"), ("SIGMA", "abc"), ("SEED", "1.5")])
+def test_detect_malformed_env_override_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(f"SGDRIFT_{name}", value)
+    code = run_cli(["detect", "--mode", "sgdd", "--input", "-"], stdin_text="u1,v1,1.0,1\n")
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_generate_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SGDRIFT_SEED", "1.5")
+    assert main(["generate", "--pattern", "gradual", "--delta", "100", "--n", "400",
+                 "--prefix-len", "50", "--out", str(tmp_path)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.stream"))
 
 
 def test_detect_malformed_line_aborts_with_line_number(tmp_path, capsys):

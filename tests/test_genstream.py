@@ -7,7 +7,7 @@ from sgdrift.butterfly import BipartiteWindow, enumerate_young
 from sgdrift.genstream import (DriftSchedule, GeneratorConfig, format_sgr,
                                generate, generate_to_files, read_ground_truth,
                                schedule_params)
-from sgdrift.stream_model import read_sgr_stream
+from sgdrift.stream_model import parse_sgr
 
 
 # --- schedules -------------------------------------------------------------------
@@ -165,13 +165,12 @@ def test_file_round_trip(tmp_path):
     in_memory, truth_mem = generate(config, schedule, 600)
     assert truth == truth_mem
     with open(stream_path, encoding="utf-8") as handle:
-        parsed = list(read_sgr_stream(handle))
+        parsed = [parse_sgr(line, t) for t, line in enumerate(handle, start=1)]
     assert parsed == in_memory
     assert read_ground_truth(truth_path) == truth
 
 
 def test_format_round_trips_through_parser():
-    from sgdrift.stream_model import parse_sgr
     (records, _), _, _ = small_stream(n=400, delta=100, prefix=50)
     for r in records[:100]:
         assert parse_sgr(format_sgr(r), r.t) == r

@@ -4,14 +4,16 @@ The profile keeps one first-seen rank map and answers youth by a rank
 threshold; the references keep a timestamp set plus a first-seen list and
 take the youth suffix from that list. Generated timestamp sequences mix
 bursts, repeats, late arrivals of old timestamps and decreasing values.
+The burst window, which keeps its edges only as per-j neighbour sets, is
+checked against a literal edge set plus a last-touch dict.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ReferenceProfile, reference_ingest, reference_parse_sgr,
-                     reference_young)
-from sgdrift.butterfly import young_timestamps
+from helpers import (ReferenceProfile, brute_force_butterflies, reference_ingest,
+                     reference_parse_sgr, reference_young)
+from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
 from sgdrift.stream_model import BurstProfile, SgrParseError, ingest_timestamp, parse_sgr
 
 # Runs of one timestamp (bursts), drawn from a small range so that values
@@ -51,6 +53,31 @@ def test_young_matches_first_seen_suffix(runs, x, candidates):
         assert young_timestamps(profile.seen, x, profile.seen) == expected
         # Candidates include unseen timestamps, which are never young.
         assert young_timestamps(profile.seen, x, candidates) == expected & set(candidates)
+
+
+# Window records drawn from few vertices and timestamps, so that (i, j) pairs
+# repeat and one j comes back at changing timestamps.
+window_records = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                    st.integers(0, 3)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_records, st.sets(st.integers(0, 3)))
+def test_window_matches_edge_set_reference(records, young):
+    window = BipartiteWindow()
+    edges: set[tuple[str, str]] = set()
+    last_tau: dict[str, int] = {}
+    for a, b, tau in records:
+        i, j = f"i{a}", f"j{b}"
+        assert window.add(i, j, tau) == ((i, j) not in edges)
+        edges.add((i, j))
+        last_tau[j] = tau
+        assert len(window) == len(edges)
+        assert window.j_last_tau == last_tau
+        for k in range(5):
+            assert window.i_neighbors(f"j{k}") == {u for u, v in edges if v == f"j{k}"}
+        young_js = {v for v, t in last_tau.items() if t in young}
+        assert enumerate_young(window, young) == brute_force_butterflies(edges, young_js)
 
 
 # Field text: numbers, words, empty strings and delimiter-free junk, padded

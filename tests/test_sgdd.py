@@ -33,17 +33,12 @@ def fig5_stream():
     return records
 
 
-# --- S' strategies ---------------------------------------------------------------
+# --- S' ---------------------------------------------------------------------------
 
 def test_sprime_decreasing_shrinks_with_detections():
-    values = [sprime_length(6, d, "decreasing") for d in range(1, 6)]
+    values = [sprime_length(6, d) for d in range(1, 6)]
     assert values == [6, 3, 2, 2, 2]
     assert all(v >= 1 for v in values)
-
-
-def test_sprime_literal_is_nonpositive_for_any_detection_log():
-    assert sprime_length(4, 1, "literal") == 0
-    assert sprime_length(4, 3, "literal") == -8
 
 
 # --- drift check -----------------------------------------------------------------
@@ -90,13 +85,6 @@ def test_cdc_requires_extremum_in_o2():
 def test_cdc_insufficient_series_is_quiet():
     assert cdc_butterfly(10, 100, [0.4], [0.5], t=5, window=1,
                          drift_windows=[0]) is None
-
-
-def test_cdc_literal_strategy_never_fires():
-    o1 = _series(11, 0.4)
-    o2 = [0.9] * 10 + [0.1]
-    assert cdc_butterfly(10, 100, o1, o2, t=100, window=11, drift_windows=[0],
-                         sprime_strategy="literal") is None
 
 
 def test_cdc_precision_tightens_with_detections():
@@ -241,5 +229,3 @@ def test_series_lengths_track_window_counter():
 def test_config_validation():
     with pytest.raises(ValueError):
         SgddConfig(x=0.0)
-    with pytest.raises(ValueError):
-        SgddConfig(sprime_strategy="nope")

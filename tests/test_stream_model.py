@@ -5,7 +5,7 @@ import pytest
 
 from helpers import parse_labeled_sgr, segment_bursts
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest,
-                                  ingest_timestamp, parse_sgr, read_sgr_stream)
+                                  ingest_timestamp, parse_sgr)
 
 
 class Event(NamedTuple):
@@ -68,18 +68,6 @@ def test_parse_labeled_adds_arrival_field():
     assert record.tau == 42 and arrival == 5
     with pytest.raises(SgrParseError, match="5 fields"):
         parse_labeled_sgr("3,7,1.0,42", t=1)
-
-
-def test_read_sgr_stream_assigns_arrival_in_line_order():
-    lines = ["1,2,1.0,10", "", "3,4,1.0,11", "  "]
-    records = list(read_sgr_stream(lines))
-    assert [r.t for r in records] == [1, 2]
-    assert [r.tau for r in records] == [10, 11]
-
-
-def test_read_sgr_stream_reports_line_number():
-    with pytest.raises(SgrParseError, match="line 2"):
-        list(read_sgr_stream(["1,2,1.0,10", "bad line"]))
 
 
 # --- ingest ------------------------------------------------------------------
