@@ -1,11 +1,12 @@
 """Command-line front end: generate, detect, eval.
 
-Every run writes a manifest next to its outputs with the resolved
-arguments, seed, and tool version, sufficient to re-run the command
-bit-identically (timing fields excepted). Signals are serialized as JSON
-lines so downstream consumers can tail them live.
+Every run writes a manifest next to its outputs with every parsed flag
+and the tool version, sufficient to re-run the command bit-identically
+(timing fields excepted). Signals are serialized as JSON lines so
+downstream consumers can tail them live.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Defaults honour
+Exit codes: 0 success, 1 usage error (also a flag value the library
+rejects, found before any output is opened), 2 data error. Defaults honour
 environment variable overrides (SGDRIFT_SEED, SGDRIFT_F_SCHEDULE,
 SGDRIFT_X, SGDRIFT_SIGMA, SGDRIFT_VARIANT), parsed like their flags.
 """
@@ -60,15 +61,16 @@ def _parse_f_schedule(text: str) -> tuple[float, ...]:
     return values
 
 
-def _write_manifest(directory: Path, subcommand: str, args: dict) -> None:
+def _write_manifest(directory: Path, args, **extra) -> None:
+    flags = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()}
     manifest = {
         "tool": "sgdrift",
         "version": __version__,
-        "subcommand": subcommand,
-        "args": args,
+        "subcommand": args.command,
+        "args": {**flags, **extra},
         "written_at_ms": now_ms(),
     }
-    path = directory / f"manifest_{subcommand}.json"
+    path = directory / f"manifest_{args.command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -83,11 +85,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", choices=("default", "appendix"),
                         default=_env("VARIANT", "default"))
     parser.add_argument("--on-error", choices=("abort", "skip"), default="abort")
-
-
-def _detector_knobs(args) -> dict:
-    return {"f_schedule": args.f_schedule, "x": args.x, "sigma": args.sigma,
-            "seed": args.seed, "variant": args.variant, "on_error": args.on_error}
 
 
 def build_parser() -> _Parser:
@@ -137,8 +134,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     schedule_args = []
     if args.batch:
         for pattern, letter in (("recurring", "R"), ("gradual", "G")):
@@ -150,42 +145,48 @@ def _cmd_generate(args) -> int:
     else:
         name = args.name or f"{args.pattern[0].upper()}_{args.delta}_{args.seed}"
         schedule_args.append((args.pattern, args.delta, name, args.seed))
-    for pattern, delta, name, seed in schedule_args:
-        config = GeneratorConfig(rho=args.rho, l_min=args.lmin, l_max=args.lmax,
+    out_dir: Path = args.out
+    # No input is read, so a rejected value is a flag's, found before a file opens.
+    try:
+        jobs = [(GeneratorConfig(rho=args.rho, l_min=args.lmin, l_max=args.lmax,
                                  beta=args.beta, m=args.m, seed=seed,
-                                 prefix_len=args.prefix_len)
-        schedule = DriftSchedule.make(pattern, delta)
-        stream_path = out_dir / f"{name}.stream"
-        truth_path = out_dir / f"{name}.truth"
-        truth = generate_to_files(config, schedule, args.n, stream_path, truth_path)
-        print(f"{name}: {args.n} records, drifts at {list(truth.cd_indices)}",
-              file=sys.stderr)
-    _write_manifest(out_dir, "generate", {
-        "pattern": None if args.batch else args.pattern, "batch": args.batch,
-        "delta": args.delta, "n": args.n, "seed": args.seed,
-        "prefix_len": args.prefix_len, "rho": args.rho,
-        "lmin": args.lmin, "lmax": args.lmax, "beta": args.beta, "m": args.m,
-        "names": [name for _, _, name, _ in schedule_args],
-    })
+                                 prefix_len=args.prefix_len),
+                 DriftSchedule.make(pattern, delta), name)
+                for pattern, delta, name, seed in schedule_args]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for config, schedule, name in jobs:
+            truth = generate_to_files(config, schedule, args.n, out_dir / f"{name}.stream",
+                                      out_dir / f"{name}.truth")
+            print(f"{name}: {args.n} records, drifts at {list(truth.cd_indices)}",
+                  file=sys.stderr)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    _write_manifest(out_dir, args, names=[name for _, _, name in jobs])
     return 0
 
 
-def _detect_stream(lines, args, emit, on_record=None) -> None:
-    """Parse ``lines`` and feed every record to the detectors of ``args.mode``.
+def _detector_configs(args) -> tuple[SgdpConfig | None, SgddConfig | None]:
+    """The (sgdp, sgdd) configs of ``args.mode``; call it before opening any output."""
+    try:
+        return (SgdpConfig(_parse_f_schedule(args.f_schedule), args.variant)
+                if args.mode in ("sgdp", "both") else None,
+                SgddConfig(args.x, args.sigma, args.seed, args.variant)
+                if args.mode in ("sgdd", "both") else None)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
+    """Parse ``lines`` and feed every record to fresh detectors of ``configs``.
 
     Both ``detect`` and ``eval --repeat`` run through here, so they build
     their detectors from the same knob flags. Signals go to ``emit``;
     ``on_record`` (if given) sees each record after the detectors have
     consumed it.
     """
-    sgdp_state = None
-    sgdd_state = None
-    if args.mode in ("sgdp", "both"):
-        sgdp_state = SgdpState(config=SgdpConfig(
-            f_schedule=_parse_f_schedule(args.f_schedule), variant=args.variant))
-    if args.mode in ("sgdd", "both"):
-        sgdd_state = SgddState(config=SgddConfig(
-            x=args.x, sigma=args.sigma, seed=args.seed, variant=args.variant))
+    sgdp_config, sgdd_config = configs
+    sgdp_state = None if sgdp_config is None else SgdpState(config=sgdp_config)
+    sgdd_state = None if sgdd_config is None else SgddState(config=sgdd_config)
     delimiter = args.delimiter
     skip_errors = args.on_error == "skip"
     t = 0
@@ -211,23 +212,20 @@ def _detect_stream(lines, args, emit, on_record=None) -> None:
 
 
 def _cmd_detect(args) -> int:
+    configs = _detector_configs(args)
     sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         emit = lambda signal: print(signal.to_json(), file=sink, flush=sink is sys.stdout)
         if args.input == "-":
-            _detect_stream(sys.stdin, args, emit)
+            _detect_stream(sys.stdin, args, configs, emit)
         else:
             with open(args.input, encoding="utf-8") as handle:
-                _detect_stream(handle, args, emit)
+                _detect_stream(handle, args, configs, emit)
     finally:
         if sink is not sys.stdout:
             sink.close()
     if args.out != "-":
-        out_path = Path(args.out)
-        _write_manifest(out_path.parent, "detect", {
-                            "mode": args.mode, "input": args.input, "out": args.out,
-                            "delimiter": args.delimiter, **_detector_knobs(args),
-                        })
+        _write_manifest(Path(args.out).parent, args)
     return 0
 
 
@@ -242,6 +240,7 @@ def _read_signals(path: str) -> list[DriftSignal]:
 
 
 def _timing_runner(args, truth):
+    configs = _detector_configs(args)
     slot = {c: k for k, c in enumerate(truth.cd_indices)}
 
     def run():
@@ -253,7 +252,7 @@ def _timing_runner(args, truth):
                 cd_wall[slot[record.t]] = time.time() * 1000.0
 
         with open(args.input, encoding="utf-8") as handle:
-            _detect_stream(handle, args, signals.append, stamp)
+            _detect_stream(handle, args, configs, signals.append, stamp)
         return signals, cd_wall
 
     return run
@@ -284,11 +283,7 @@ def _cmd_eval(args) -> int:
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (out_dir / "report.tsv").write_text(report.to_table(), encoding="utf-8")
     print(report.to_table(), end="")
-    _write_manifest(out_dir, "eval", {
-        "signals": args.signals, "truth": args.truth, "delta": args.delta,
-        "repeat": args.repeat, "batches": args.batches, "delimiter": args.delimiter,
-        "input": args.input, "mode": args.mode, **_detector_knobs(args),
-    })
+    _write_manifest(out_dir, args)
     return 0
 
 

@@ -152,6 +152,8 @@ class _RecentGraph:
 
 class _Emitter:
     def __init__(self, config: GeneratorConfig, schedule: DriftSchedule, n: int):
+        if n <= config.prefix_len:
+            raise ValueError("n must exceed the prefix length")
         self.config = config
         self.schedule = schedule
         self.n = n
@@ -159,20 +161,12 @@ class _Emitter:
         self.recent = _RecentGraph(config.beta)
         self.next_i = 0
         self.next_j = 0
-        self.cut_points = self._cut_points()
-        self.mark_set = self._mark_set()
+        cuts = {config.prefix_len, n}
+        cuts.update(b for b in schedule.boundaries() if b < n)
+        self.cut_points = sorted(c for c in cuts if 0 < c <= n)
+        # Drifts: the end of the prefix and every later cut but the last.
+        self.mark_set = {c for c in self.cut_points if config.prefix_len <= c < n}
         self.cd_marks: list[tuple[int, int]] = []
-
-    def _cut_points(self) -> list[int]:
-        cuts = {self.config.prefix_len, self.n}
-        cuts.update(b for b in self.schedule.boundaries() if b < self.n)
-        return sorted(c for c in cuts if 0 < c <= self.n)
-
-    def _mark_set(self) -> set[int]:
-        marks = {self.config.prefix_len}
-        marks.update(b for b in self.schedule.boundaries()
-                     if self.config.prefix_len < b < self.n)
-        return {m for m in marks if 0 < m < self.n}
 
     def _params_at(self, index: int) -> tuple[float, int, int]:
         if index < self.config.prefix_len:
@@ -252,7 +246,6 @@ class _Emitter:
     def run(self, sink) -> GroundTruth:
         for record in self.records():
             sink(record)
-        self.cd_marks.sort()
         return GroundTruth(tuple(i for i, _ in self.cd_marks),
                            tuple(ts for _, ts in self.cd_marks))
 
@@ -266,33 +259,29 @@ def generate(config: GeneratorConfig, schedule: DriftSchedule,
     prefix are suppressed. Output is a pure function of (config, schedule,
     n).
     """
-    if n <= config.prefix_len:
-        raise ValueError("n must exceed the prefix length")
     records: list[SGR] = []
     truth = _Emitter(config, schedule, n).run(records.append)
     return records, truth
 
 
-def format_sgr(record: SGR, delimiter: str = ",") -> str:
-    omega = repr(record.omega)
-    return f"{record.i}{delimiter}{record.j}{delimiter}{omega}{delimiter}{record.tau}"
+def format_sgr(record: SGR) -> str:
+    return f"{record.i},{record.j},{record.omega!r},{record.tau}"
 
 
 def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
-                      stream_path, truth_path, delimiter: str = ",") -> GroundTruth:
+                      stream_path, truth_path) -> GroundTruth:
     """Stream ``n`` generated records to a text file plus a truth file.
 
-    The stream file holds one record per line in the parseable text format;
-    the truth file holds one ``index<delimiter>tau`` line per drift.
+    The stream file holds one ``i,j,omega,tau`` line per record and the
+    truth file one ``index,tau`` line per drift. ``n`` is checked against
+    the prefix length before either file is opened.
     """
-    if n <= config.prefix_len:
-        raise ValueError("n must exceed the prefix length")
+    emitter = _Emitter(config, schedule, n)
     with open(stream_path, "w", encoding="utf-8") as stream:
-        emitter = _Emitter(config, schedule, n)
-        truth = emitter.run(lambda r: stream.write(format_sgr(r, delimiter) + "\n"))
+        truth = emitter.run(lambda r: stream.write(format_sgr(r) + "\n"))
     with open(truth_path, "w", encoding="utf-8") as out:
         for index, ts in zip(truth.cd_indices, truth.cd_timestamps):
-            out.write(f"{index}{delimiter}{ts}\n")
+            out.write(f"{index},{ts}\n")
     return truth
 
 

@@ -63,19 +63,8 @@ class EvalReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        report = cls(
-            per_cd=[CdReport(**cd) for cd in data["per_cd"]],
-            false_negatives=list(data["false_negatives"]),
-            after_last=AfterLastReport(**data["after_last"]),
-            false_positives=data["false_positives"],
-            runs=data.get("runs", 1),
-        )
-        return report
-
-    def to_table(self, delimiter: str = "\t") -> str:
-        """Delimited table with one 'ms/SGR' cell pair per drift."""
+    def to_table(self) -> str:
+        """Tab-separated table with one 'ms/SGR' cell pair per drift."""
         header: list[str] = []
         cells: list[str] = []
         for k, cd in enumerate(self.per_cd, start=1):
@@ -87,7 +76,7 @@ class EvalReport:
         cells.append(_cell(None, self.after_last.d_last))
         header += ["fp", "fn"]
         cells += [str(self.false_positives), str(len(self.false_negatives))]
-        return delimiter.join(header) + "\n" + delimiter.join(cells) + "\n"
+        return "\t".join(header) + "\n" + "\t".join(cells) + "\n"
 
 
 def _cell(ms: float | None, sgr: int | None) -> str:
@@ -158,14 +147,15 @@ def _sgr_fingerprint(report: EvalReport) -> tuple:
 
 
 def repeated_timing(runner, truth: GroundTruth, runs: int = 100, batches: int = 10,
-                    drift_interval: int | None = None, warmup: bool = True) -> EvalReport:
+                    drift_interval: int | None = None) -> EvalReport:
     """Run a detector end to end ``runs`` times and aggregate ms distances.
 
     ``runner`` executes one full detection pass and returns
     ``(signals, cd_wall_ms)`` where ``cd_wall_ms[i]`` is the wall-clock
     time (ms) at which the i-th ground-truth drift record was ingested.
     Runs are grouped into ``batches`` equal batches executed sequentially,
-    each preceded by one discarded warmup pass to absorb caching effects.
+    each preceded by one discarded warmup pass to absorb caching effects,
+    so ``runner`` is called ``runs + batches`` times in all.
 
     Record-count distances must be identical across all runs; a mismatch
     raises :class:`DeterminismError`.
@@ -177,8 +167,7 @@ def repeated_timing(runner, truth: GroundTruth, runs: int = 100, batches: int = 
     ms_first: list[list[float]] = [[] for _ in truth.cd_indices]
     ms_last: list[list[float]] = [[] for _ in truth.cd_indices]
     for _ in range(batches):
-        if warmup:
-            runner()
+        runner()
         for _ in range(per_batch):
             signals, cd_wall_ms = runner()
             report = distances(signals, truth, drift_interval)

@@ -1,8 +1,8 @@
 """Drift detection from butterfly interconnectivity.
 
 Each burst boundary closes the bipartite window, projects its young
-butterflies into the cumulative oscillator graph, re-derives phases from
-neighbourhood identifiers, and resamples frequencies. Two series are then
+butterflies into the cumulative oscillator graph, re-deriving the phases
+of the vertices it links, and resamples frequencies. Two series are then
 appended: the phase coherence of the graph (O1) and the coherence of the
 phase changes predicted by one integration step (O2). A drift is signalled
 when the phase structure is steady while the predicted changes show a
@@ -19,8 +19,8 @@ at most 0 for every d >= 1, so the O1 suffix would be empty, C1 could
 never hold and the detector would never signal.
 
 Windows that close while the graph is still empty carry the previous O1/O2
-values forward (0 for the first) so the series stay aligned with the
-window counter.
+values forward (0 for the first), so both series hold one value per
+closed window and their length is the window index.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_
 class SgddConfig:
     x: float = 0.25
     sigma: float = 1.0
-    seed: int | None = None
+    seed: int = 0
     variant: str = "default"
 
     def __post_init__(self) -> None:
@@ -59,7 +59,6 @@ class SgddState:
     o1: list[float] = field(default_factory=list)
     o2: list[float] = field(default_factory=list)
     drift_windows: list[int] = field(default_factory=lambda: [0])
-    window: int = 1
     t: int = 0
     rng: random.Random = None  # type: ignore[assignment]
 
@@ -146,9 +145,8 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     state.o1.append(o1_value)
     state.o2.append(o2_value)
     signal = cdc_butterfly(state.profile.average, state.profile.maximum,
-                           state.o1, state.o2, state.t, state.window,
+                           state.o1, state.o2, state.t, len(state.o1),
                            state.drift_windows, state.config.variant)
-    state.window += 1
     return signal
 
 

@@ -87,14 +87,14 @@ class SgdpState:
     """Predictor state for one stream.
 
     ``series`` holds one average burst size per window as a packed array of
-    doubles, 8 bytes a window instead of a list's pointer plus float object.
+    doubles, 8 bytes a window instead of a list's pointer plus float object;
+    its length is the index of the newest window.
     """
 
     config: SgdpConfig = field(default_factory=SgdpConfig)
     profile: BurstProfile = field(default_factory=BurstProfile)
     series: array = field(default_factory=lambda: array("d"))
     drift_windows: list[int] = field(default_factory=lambda: [0])
-    window: int = 1
     t: int = 0
 
 
@@ -142,15 +142,15 @@ def sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
         return []
     profile = state.profile
     state.series.append(profile.average)
+    window = len(state.series)
     fired: list[DriftSignal] = []
     for f in state.config.f_schedule:
-        if state.window - state.drift_windows[-1] > profile.average:
+        if window - state.drift_windows[-1] > profile.average:
             signal = cds_bursts(profile.maximum, profile.average,
-                                state.series, state.window, state.t,
+                                state.series, window, state.t,
                                 state.drift_windows, f, state.config.variant)
             if signal is not None:
                 fired.append(signal)
-    state.window += 1
     return fired
 
 

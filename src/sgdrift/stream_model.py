@@ -54,11 +54,6 @@ class BurstProfile:
     maximum: int = 0
     seen: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def closed(self) -> int:
-        """Number of bursts folded into the average: one per unique timestamp."""
-        return len(self.seen)
-
 
 def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
     """Advance the profile with one record's timestamp.

@@ -8,7 +8,7 @@ share a j-vertex, with a static weight equal to the size of the sharing
 neighbourhood at link time. Phases embed neighbourhoods: the phase of a
 vertex is the sum of its neighbours' identifiers reduced modulo 2*pi, so
 identical neighbourhoods hash to identical phases and isolated vertices
-sit at phase zero.
+sit at phase zero; linking two vertices updates both their phases.
 
 One coupled-oscillator integration step per window predicts the phase
 changes. The coupling follows the attractive convention sin(theta_n -
@@ -25,6 +25,7 @@ from bisect import insort
 from .butterfly import BipartiteWindow, ButterflyKey, enumerate_young
 
 TWO_PI = 2.0 * math.pi
+STEP = 0.01
 
 
 def butterfly_ident(key: ButterflyKey) -> int:
@@ -43,9 +44,10 @@ class OscillatorGraph:
     ``vertices`` maps each butterfly key to its id; ids count up from 0 in
     insertion order and index the per-vertex lists: ``keys``, ``ident``,
     ``nbr_sum`` (the exact integer sum of the neighbours' identifiers),
-    ``theta``, ``omega`` and ``links``, a list of ``(neighbour id, weight)``
-    pairs in edge-insertion order. ``order`` lists the ids in canonical key
-    order. Edges are only ever added, so no per-window state is rebuilt.
+    ``theta`` (that sum modulo 2*pi, updated by every link), ``omega`` and
+    ``links``, a list of ``(neighbour id, weight)`` pairs in edge-insertion
+    order. ``order`` lists the ids in canonical key order. Edges are only
+    ever added, so no per-window state is rebuilt.
     """
 
     def __init__(self) -> None:
@@ -58,7 +60,6 @@ class OscillatorGraph:
         self.links: list[list[tuple[int, int]]] = []
         self.order: list[int] = []
         self._by_j: dict[str, set[int]] = {}
-        self._stale: set[int] = set()
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -81,13 +82,13 @@ class OscillatorGraph:
         return v
 
     def _add_edge(self, u: int, v: int, weight: int) -> None:
-        """Link two ids that are not linked yet."""
+        """Link two ids that are not linked yet and update both phases."""
         self.links[u].append((v, weight))
         self.links[v].append((u, weight))
         self.nbr_sum[u] += self.ident[v]
         self.nbr_sum[v] += self.ident[u]
-        self._stale.add(u)
-        self._stale.add(v)
+        self.theta[u] = math.fmod(float(self.nbr_sum[u]), TWO_PI)
+        self.theta[v] = math.fmod(float(self.nbr_sum[v]), TWO_PI)
 
 
 def project(window: BipartiteWindow, graph: OscillatorGraph,
@@ -123,18 +124,14 @@ def project(window: BipartiteWindow, graph: OscillatorGraph,
 
 def assign_phases(graph: OscillatorGraph, rng: random.Random,
                   sigma: float = 1.0) -> None:
-    """Set every vertex's phase from its neighbourhood and resample frequencies.
+    """Resample every vertex's frequency for the next integration step.
 
-    The phase is the exact integer sum of neighbour identifiers reduced
-    modulo 2*pi into [0, 2*pi); isolated vertices get phase 0. Only vertices
-    that gained an edge since the last call have a new sum. Frequencies
-    are drawn from a zero-mean Gaussian with standard deviation ``sigma``,
-    in canonical vertex order so runs are reproducible for a given seed.
+    Phases need no work here: each is the exact integer sum of neighbour
+    identifiers reduced modulo 2*pi into [0, 2*pi), and the graph updates
+    it whenever the vertex gains an edge. Frequencies are drawn from a
+    zero-mean Gaussian with standard deviation ``sigma``, in canonical
+    vertex order so runs are reproducible for a given seed.
     """
-    theta, total = graph.theta, graph.nbr_sum
-    for v in graph._stale:
-        theta[v] = math.fmod(float(total[v]), TWO_PI)
-    graph._stale.clear()
     omega, gauss = graph.omega, rng.gauss
     for v in graph.order:
         omega[v] = gauss(0.0, sigma)
@@ -160,16 +157,14 @@ def order_parameter(phases) -> float:
     return min(r, 1.0)
 
 
-def rk4_step(graph: OscillatorGraph, h: float = 0.01) -> list[float]:
+def rk4_step(graph: OscillatorGraph) -> list[float]:
     """One classical 4th-order step of the coupled phase dynamics.
 
     d theta_v / dt = omega_v + sum_n w_vn * sin(theta_n - theta_v)
 
     Returns the predicted phase change of every vertex over one step of
-    size ``h``, indexed by vertex id, without mutating the graph's phases.
+    size ``STEP``, indexed by vertex id, without mutating the graph's phases.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
     theta0, omega, links = graph.theta, graph.omega, graph.links
     sin = math.sin
 
@@ -182,10 +177,10 @@ def rk4_step(graph: OscillatorGraph, h: float = 0.01) -> list[float]:
             out.append(base)
         return out
 
-    half = 0.5 * h
+    half = 0.5 * STEP
     k1 = deriv(theta0)
     k2 = deriv([t + half * k for t, k in zip(theta0, k1)])
     k3 = deriv([t + half * k for t, k in zip(theta0, k2)])
-    k4 = deriv([t + h * k for t, k in zip(theta0, k3)])
-    sixth = h / 6.0
+    k4 = deriv([t + STEP * k for t, k in zip(theta0, k3)])
+    sixth = STEP / 6.0
     return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]

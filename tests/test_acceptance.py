@@ -130,7 +130,7 @@ def test_acceptance_rk4():
         omegas = [rng.gauss(0, 1) for _ in range(n)]
         graph.theta[:] = thetas
         graph.omega[:] = omegas
-        delta = rk4_step(graph, 0.01)
+        delta = rk4_step(graph)
         expected = rk4_reference(thetas, omegas, weights, 0.01)
         for d, e in zip(delta, expected):
             assert abs(d - e) < 1e-12
@@ -138,7 +138,7 @@ def test_acceptance_rk4():
     graph = weighted_graph(unit_weights(4))
     graph.theta[:] = [0.77] * 4
     graph.omega[:] = [0.0] * 4
-    assert all(v == 0.0 for v in rk4_step(graph, 0.01))
+    assert all(v == 0.0 for v in rk4_step(graph))
 
     started = time.perf_counter()
     graph = weighted_graph(unit_weights(8))
@@ -149,7 +149,7 @@ def test_acceptance_rk4():
     r = order_parameter(graph.theta)
     steps = 0
     while r < 0.99 and steps < 100_000:
-        delta = rk4_step(graph, 0.01)
+        delta = rk4_step(graph)
         for k in range(8):
             graph.theta[k] += delta[k]
         r_next = order_parameter(graph.theta)

@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
-from sgdrift.cli import _detect_stream, build_parser, main
+from sgdrift.cli import _detect_stream, _detector_configs, build_parser, main
 from sgdrift.genstream import (DriftSchedule, GeneratorConfig, generate_to_files,
                                read_ground_truth)
+from sgdrift.sgdd import run_sgdd
 from sgdrift.sgdp import run_sgdp
 from sgdrift.signals import DriftSignal
+from sgdrift.stream_model import parse_sgr
 from test_golden import SGDD_GOLDEN, _digest
 
 
@@ -66,12 +68,6 @@ def test_generate_batch_emits_stream_family(tmp_path):
     assert "R_11.stream" in names and "G_25.stream" in names
 
 
-def test_generate_bad_n_is_data_error(tmp_path, capsys):
-    code = main(["generate", "--pattern", "gradual", "--delta", "10",
-                 "--n", "5", "--prefix-len", "100", "--out", str(tmp_path)])
-    assert code == 2
-
-
 # --- detect ----------------------------------------------------------------------
 
 def test_detect_constant_stream_emits_nothing(tmp_path, capsys):
@@ -126,7 +122,8 @@ def test_detect_both_feeds_each_detector_its_single_mode_input(tmp_path):
 def test_detect_stream_assigns_arrival_in_line_order():
     args = build_parser().parse_args(["detect", "--mode", "sgdp", "--input", "-"])
     records = []
-    _detect_stream(["1,2,1.0,10", "", "3,4,1.0,11", "  "], args, print, records.append)
+    _detect_stream(["1,2,1.0,10", "", "3,4,1.0,11", "  "], args, _detector_configs(args),
+                   print, records.append)
     assert [r.t for r in records] == [1, 2]
     assert [r.tau for r in records] == [10, 11]
 
@@ -150,6 +147,53 @@ def test_generate_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatc
                  "--prefix-len", "50", "--out", str(tmp_path)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.stream"))
+
+
+# Each case rejects one flag value and names the output file it would write;
+# every case runs in a directory that holds g.stream, g.truth and that file.
+REJECTED_FLAGS = {
+    "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
+                  "--out", "sig.jsonl"], "sig.jsonl"),
+    "detect-f-schedule": (["detect", "--mode", "both", "--f-schedule", "1.5",
+                           "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+    "eval-repeat-x": (["eval", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",
+                       "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
+                       "--out", "."], "report.json"),
+    "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
+                                 "--n", "500", "--name", "g", "--out", "."], "g.stream"),
+    "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
+                      "--rho", "1.5", "--name", "g", "--out", "."], "g.stream"),
+}
+
+
+@pytest.mark.parametrize("argv,output", REJECTED_FLAGS.values(), ids=REJECTED_FLAGS)
+def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
+        tmp_path, capsys, monkeypatch, argv, output):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.stream").write_text("".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 9)))
+    (tmp_path / "g.truth").write_text("4,4\n")
+    (tmp_path / "sig.jsonl").write_text("earlier signals\n")
+    (tmp_path / "report.json").write_text("{}\n")
+    before = (tmp_path / output).read_bytes()
+    assert main(argv) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert (tmp_path / output).read_bytes() == before
+
+
+def test_library_and_cli_sgdd_share_a_default_seed(tmp_path):
+    stream, truth = tmp_path / "g.stream", tmp_path / "g.truth"
+    generate_to_files(GeneratorConfig(seed=3, prefix_len=500),
+                      DriftSchedule.make("recurring", 500), 3000, stream, truth)
+    out_file = tmp_path / "signals.jsonl"
+    assert main(["detect", "--mode", "sgdd", "--input", str(stream),
+                 "--out", str(out_file)]) == 0
+    cli = [DriftSignal.from_json(line).fingerprint()
+           for line in out_file.read_text().splitlines()]
+    with open(stream, encoding="utf-8") as handle:
+        records = [parse_sgr(line, t) for t, line in enumerate(handle, start=1)]
+    first = [s.fingerprint() for s in run_sgdd(records)]
+    second = [s.fingerprint() for s in run_sgdd(records)]
+    assert cli and first == second == cli
 
 
 def test_detect_malformed_line_aborts_with_line_number(tmp_path, capsys):

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from sgdrift.genstream import GroundTruth
-from sgdrift.harness import (DeterminismError, EvalReport, distances,
-                             repeated_timing)
+from sgdrift.harness import DeterminismError, distances, repeated_timing
 from sgdrift.signals import DriftSignal
 
 
@@ -95,8 +94,7 @@ def test_adding_signals_moves_endpoints_monotonically():
 def test_report_round_trips_through_json():
     report = distances([sig(900), sig(995), sig(1200)], TRUTH_ONE,
                        drift_interval=100)
-    blob = json.dumps(report.to_dict())
-    assert EvalReport.from_dict(json.loads(blob)) == report
+    assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
 
 def test_table_layout():
@@ -141,7 +139,7 @@ def test_repeated_timing_aggregates_ms_and_keeps_sgr_fixed():
 def test_single_run_matches_offline_distances():
     truth = GroundTruth((100,), (1,))
     runner = make_runner([90], truth.cd_indices)
-    report = repeated_timing(runner, truth, runs=1, batches=1, warmup=False)
+    report = repeated_timing(runner, truth, runs=1, batches=1)
     signals, _ = runner()
     offline = distances(signals, truth)
     assert [(c.index, c.d_first, c.d_last) for c in report.per_cd] == \
@@ -151,18 +149,19 @@ def test_single_run_matches_offline_distances():
 def test_injected_sleep_grows_ms_but_not_sgr():
     truth = GroundTruth((100,), (1,))
     fast = repeated_timing(make_runner([90], truth.cd_indices),
-                           truth, runs=2, batches=1, warmup=False)
+                           truth, runs=2, batches=1)
     slow = repeated_timing(make_runner([90], truth.cd_indices, delay_ms=30.0),
-                           truth, runs=2, batches=1, warmup=False)
+                           truth, runs=2, batches=1)
     assert slow.per_cd[0].d_first == fast.per_cd[0].d_first == 10
     assert slow.per_cd[0].ms_first_mean > fast.per_cd[0].ms_first_mean + 20.0
 
 
 def test_nondeterministic_runner_hard_fails():
     truth = GroundTruth((100,), (1,))
-    runner = make_runner([90, 95], truth.cd_indices, jitter=3)
+    # Call 1 is the batch's warmup, so call 4 is the third timed run.
+    runner = make_runner([90, 95], truth.cd_indices, jitter=4)
     with pytest.raises(DeterminismError):
-        repeated_timing(runner, truth, runs=4, batches=1, warmup=False)
+        repeated_timing(runner, truth, runs=4, batches=1)
 
 
 def test_runs_must_divide_into_batches():

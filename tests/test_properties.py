@@ -5,8 +5,13 @@ threshold; the references keep a timestamp set plus a first-seen list and
 take the youth suffix from that list. Generated timestamp sequences mix
 bursts, repeats, late arrivals of old timestamps and decreasing values.
 The burst window, which keeps its edges only as per-j neighbour sets, is
-checked against a literal edge set plus a last-touch dict.
+checked against a literal edge set plus a last-touch dict. sgdd, which
+derives its window index from its series and keeps every phase current as
+edges arrive, is checked window by window against a from-scratch
+recomputation, on streams with and without butterflies.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +19,10 @@ from hypothesis import strategies as st
 from helpers import (ReferenceProfile, brute_force_butterflies, reference_ingest,
                      reference_parse_sgr, reference_young)
 from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
-from sgdrift.stream_model import BurstProfile, SgrParseError, ingest_timestamp, parse_sgr
+from sgdrift.sgdd import SgddConfig, SgddState, sgdd_step
+from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
+                                  parse_sgr)
+from sgdrift.uwgo import TWO_PI, butterfly_ident, order_parameter
 
 # Runs of one timestamp (bursts), drawn from a small range so that values
 # repeat, come back late and go down as well as up.
@@ -38,7 +46,7 @@ def test_ingest_matches_reference_after_every_record(runs):
         assert profile.current == reference.current
         assert profile.average == reference.average
         assert profile.maximum == reference.maximum
-        assert profile.closed == reference.closed
+        assert len(profile.seen) == reference.closed
         assert list(profile.seen) == reference.order
 
 
@@ -78,6 +86,53 @@ def test_window_matches_edge_set_reference(records, young):
             assert window.i_neighbors(f"j{k}") == {u for u, v in edges if v == f"j{k}"}
         young_js = {v for v, t in last_tau.items() if t in young}
         assert enumerate_young(window, young) == brute_force_butterflies(edges, young_js)
+
+
+# Bursts of edges over few vertices, so that butterflies form, share
+# j-vertices and come back; with ``fresh`` every edge gets its own vertices
+# and the stream holds no butterfly at all.
+edge_bursts = st.lists(st.tuples(st.integers(-3, 20),
+                                 st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
+                                          min_size=1, max_size=6)),
+                       max_size=30)
+
+
+def _expected_phases(graph) -> list[float]:
+    """Every phase recomputed from the keys: linked means sharing a j-vertex."""
+    phases = []
+    for key in graph.keys:
+        shared = [other for other in graph.keys
+                  if other != key and set(other.j_vertices) & set(key.j_vertices)]
+        phases.append(math.fmod(float(sum(map(butterfly_ident, shared))), TWO_PI))
+    return phases
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_bursts, st.booleans(), st.sampled_from([0.25, 0.5, 1.0]), st.integers(0, 3))
+def test_sgdd_window_bookkeeping_matches_recomputation(bursts, fresh, x, seed):
+    state = SgddState(config=SgddConfig(x=x, seed=seed))
+    reference = ReferenceProfile()
+    windows = 0
+    t = 0
+    for tau, edges in bursts:
+        for a, b in edges:
+            t += 1
+            i, j = (f"i{t}", f"j{t}") if fresh else (f"i{a}", f"j{b}")
+            signal = sgdd_step(state, SGR(i, j, 1.0, tau, t))
+            _, starts_window = reference_ingest(reference, tau)
+            windows += starts_window
+            assert len(state.o1) == len(state.o2) == windows
+            if not starts_window:
+                continue
+            graph = state.graph
+            phases = _expected_phases(graph)
+            assert graph.theta == phases
+            if len(graph):
+                ordered = sorted(range(len(graph)), key=graph.keys.__getitem__)
+                assert state.o1[-1] == order_parameter([phases[v] for v in ordered])
+            else:
+                assert signal is None
+                assert state.o1[-1] == (state.o1[-2] if windows > 1 else 0.0)
 
 
 # Field text: numbers, words, empty strings and delimiter-free junk, padded

@@ -9,7 +9,7 @@ from helpers import FIG5_DOTTED, FIG5_SOLID, taus_to_records
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
 from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, run_sgdd,
                           sgdd_step, sprime_length)
-from sgdrift.stream_model import SGR
+from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
 
 
 def fig5_stream():
@@ -152,7 +152,7 @@ def test_two_records_open_no_window():
     state = SgddState()
     assert sgdd_step(state, SGR("a", "x", 1.0, 1, 1)) is None
     assert sgdd_step(state, SGR("b", "y", 1.0, 2, 2)) is None
-    assert state.window == 1 and len(state.graph) == 0
+    assert len(state.graph) == 0
     assert state.o1 == [] and state.o2 == []
 
 
@@ -160,7 +160,6 @@ def test_fig5_stream_one_window_no_signal():
     state = SgddState(config=SgddConfig(x=0.5, seed=1))
     signals = [s for r in fig5_stream() if (s := sgdd_step(state, r))]
     assert signals == []
-    assert state.window == 2
     assert len(state.o1) == 1 and len(state.o2) == 1
     assert len(state.graph) == 8  # the worked example's young butterflies
     assert state.o1[0] > 0.0
@@ -221,9 +220,12 @@ def test_signal_spacing_respects_c3():
 def test_series_lengths_track_window_counter():
     records = taus_to_records([1, 1, 2, 3, 3, 4, 5, 5, 6])
     state = SgddState()
+    profile = BurstProfile()
+    windows = 0
     for r in records:
         sgdd_step(state, r)
-    assert len(state.o1) == len(state.o2) == state.window - 1
+        windows += ingest_timestamp(profile, r.tau)
+        assert len(state.o1) == len(state.o2) == windows
 
 
 def test_config_validation():

@@ -8,6 +8,7 @@ import pytest
 from helpers import taus_to_records
 from sgdrift.sgdp import (FULL_F_SCHEDULE, SgdpConfig, SgdpState, cds_bursts,
                           count_threshold, run_sgdp, sgdp_step, suffix_size)
+from sgdrift.stream_model import BurstProfile, ingest_timestamp
 
 
 # --- suffix size -----------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_two_records_never_reach_window_logic():
     state = SgdpState()
     assert sgdp_step(state, 1) == []
     assert sgdp_step(state, 2) == []
-    assert state.window == 1 and len(state.series) == 0
+    assert len(state.series) == 0
 
 
 def test_pair_bursts_average_rises_toward_two():
@@ -251,6 +252,9 @@ def test_config_validation():
 
 def test_series_only_grows_on_new_windows():
     state = SgdpState()
+    profile = BurstProfile()
+    windows = 0
     for tau in [1, 1, 1, 2, 2, 3, 3, 4]:
         sgdp_step(state, tau)
-    assert len(state.series) == state.window - 1
+        windows += ingest_timestamp(profile, tau)
+        assert len(state.series) == windows

@@ -14,13 +14,13 @@ class Event(NamedTuple):
 
 
 def feed(taus):
-    """Ingest ``taus``; a record's timestamp is new when it grew ``closed``."""
+    """Ingest ``taus``; a record's timestamp is new when it grew ``seen``."""
     profile = BurstProfile()
     events = []
     for tau in taus:
-        closed = profile.closed
+        closed = len(profile.seen)
         starts_window = ingest_timestamp(profile, tau)
-        events.append(Event(profile.closed > closed, starts_window))
+        events.append(Event(len(profile.seen) > closed, starts_window))
     return profile, events
 
 
@@ -137,7 +137,7 @@ def test_average_equals_mean_of_folded_samples():
             seen.add(tau)
         profile, _ = feed(taus)
         assert profile.average == pytest.approx(sum(folded) / len(folded))
-        assert profile.closed == len(folded)
+        assert len(profile.seen) == len(folded)
 
 
 def test_count_conservation():
@@ -150,10 +150,10 @@ def test_count_conservation():
         profile = BurstProfile()
         folded_sum = 0.0
         for tau in taus:
-            before = profile.closed
+            before = len(profile.seen)
             ingest_timestamp(profile, tau)
-            if profile.closed > before:
-                folded_sum = profile.average * profile.closed
+            if len(profile.seen) > before:
+                folded_sum = profile.average * len(profile.seen)
         assert folded_sum + profile.current == pytest.approx(len(taus) + 1)
 
 
@@ -165,7 +165,7 @@ def test_profile_invariants_hold_throughout():
         assert profile.current >= 1
         assert profile.maximum >= profile.current
         assert 1.0 <= profile.average <= profile.maximum
-        assert list(profile.seen.values()) == list(range(profile.closed))
+        assert list(profile.seen.values()) == list(range(len(profile.seen)))
 
 
 def test_order_keeps_first_seen_order():

@@ -233,7 +233,7 @@ def test_rk4_zero_weights_gives_h_omega_exactly():
     extra = graph._add_vertex(ButterflyKey.make("z1", "z2", "w1", "w2"))
     graph.omega[keys[0]] = 2.5
     graph.omega[extra] = -1.25
-    delta = rk4_step(graph, h=0.01)
+    delta = rk4_step(graph)
     assert delta[keys[0]] == 0.01 * 2.5
     assert delta[extra] == 0.01 * -1.25
 
@@ -243,7 +243,7 @@ def test_rk4_synchronized_zero_frequency_is_fixed_point():
     for v in keys:
         graph.theta[v] = 1.234
         graph.omega[v] = 0.0
-    delta = rk4_step(graph, h=0.01)
+    delta = rk4_step(graph)
     assert all(delta[k] == 0.0 for k in keys)
 
 
@@ -251,7 +251,7 @@ def test_rk4_two_vertex_against_reference():
     graph, keys = complete_unit_graph(2)
     graph.theta[keys[0]] = 0.0
     graph.theta[keys[1]] = math.pi / 2
-    delta = rk4_step(graph, h=0.01)
+    delta = rk4_step(graph)
     expected = rk4_reference([0.0, math.pi / 2], [0.0, 0.0],
                              [[0, 1], [1, 0]], 0.01)
     assert delta[keys[0]] == pytest.approx(expected[0], abs=1e-12)
@@ -272,7 +272,7 @@ def test_rk4_random_graphs_against_reference():
         omegas = [rng.gauss(0, 1) for _ in range(n)]
         graph.theta[:] = thetas
         graph.omega[:] = omegas
-        delta = rk4_step(graph, h=0.01)
+        delta = rk4_step(graph)
         expected = rk4_reference(thetas, omegas, weights, 0.01)
         for d, e in zip(delta, expected):
             assert d == pytest.approx(e, abs=1e-12)
@@ -282,14 +282,8 @@ def test_rk4_does_not_mutate_phases():
     graph, keys = complete_unit_graph(3)
     assign_phases(graph, random.Random(2))
     before = list(graph.theta)
-    rk4_step(graph, h=0.01)
+    rk4_step(graph)
     assert graph.theta == before
-
-
-def test_rk4_rejects_bad_step():
-    graph, _ = complete_unit_graph(2)
-    with pytest.raises(ValueError):
-        rk4_step(graph, h=0.0)
 
 
 def test_multi_step_drives_complete_graph_to_synchrony():
@@ -302,7 +296,7 @@ def test_multi_step_drives_complete_graph_to_synchrony():
     for _ in range(100_000):
         if r >= 0.99:
             break
-        delta = rk4_step(graph, h=0.01)
+        delta = rk4_step(graph)
         for k in keys:
             graph.theta[k] += delta[k]
         r_next = order_parameter(graph.theta)
