@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 from .butterfly import BipartiteWindow, ButterflyKey, enumerate_young, young_timestamps
 from .genstream import (DriftSchedule, GeneratorConfig, GroundTruth, generate,
-                        generate_to_files, schedule_params)
+                        generate_to_files)
 from .harness import DeterminismError, EvalReport, distances, repeated_timing
 from .sgdd import SgddConfig, SgddState, cdc_butterfly, run_sgdd, sgdd_step
 from .sgdp import (SgdpConfig, SgdpState, cds_bursts, run_sgdp, sgdp_step,
@@ -37,6 +37,6 @@ __all__ = [
     "SgdpConfig", "SgdpState", "cds_bursts", "run_sgdp", "sgdp_step", "suffix_size",
     "SgddConfig", "SgddState", "cdc_butterfly", "run_sgdd", "sgdd_step",
     "GeneratorConfig", "DriftSchedule", "GroundTruth", "generate",
-    "generate_to_files", "schedule_params",
+    "generate_to_files",
     "DeterminismError", "EvalReport", "distances", "repeated_timing",
 ]

@@ -18,12 +18,13 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
 from .genstream import (DriftSchedule, GeneratorConfig, PATTERNS,
                         generate_to_files, read_ground_truth)
-from .harness import DeterminismError, distances, repeated_timing
+from .harness import DeterminismError, check_runs, distances, repeated_timing
 from .sgdd import SgddConfig, SgddState, sgdd_step
 from .sgdp import DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, SgdpConfig, SgdpState, sgdp_step
 from .signals import DriftSignal, now_ms
@@ -213,17 +214,13 @@ def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
 
 def _cmd_detect(args) -> int:
     configs = _detector_configs(args)
-    sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
+    # The input opens first, so a missing one leaves an existing --out untouched.
+    with (nullcontext(sys.stdin) if args.input == "-"
+          else open(args.input, encoding="utf-8")) as source, \
+         (nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8")) as sink:
         emit = lambda signal: print(signal.to_json(), file=sink, flush=sink is sys.stdout)
-        if args.input == "-":
-            _detect_stream(sys.stdin, args, configs, emit)
-        else:
-            with open(args.input, encoding="utf-8") as handle:
-                _detect_stream(handle, args, configs, emit)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+        _detect_stream(source, args, configs, emit)
     if args.out != "-":
         _write_manifest(Path(args.out).parent, args)
     return 0
@@ -265,6 +262,10 @@ def _cmd_eval(args) -> int:
     if args.repeat is not None:
         if not args.input:
             raise UsageError("--repeat needs --input (stream to re-run)")
+        try:
+            check_runs(args.repeat, args.batches)
+        except ValueError as exc:
+            raise UsageError(f"--repeat/--batches: {exc}") from None
         runner = _timing_runner(args, truth)
         try:
             report = repeated_timing(runner, truth, runs=args.repeat,

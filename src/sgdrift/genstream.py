@@ -9,12 +9,17 @@ graph (closing wedges into butterflies inside the burst); otherwise a
 fresh vertex is attached. Larger rho and longer walks give larger bursts
 and denser butterfly closure.
 
-The first ``prefix_len`` records are generated under a distinct regime 0,
-standing in for a real-world prefix, so the switch to the schedule's first
-regime is a genuine generative change and counts as the first drift. Later
-drifts happen where the schedule switches parameters, at multiples of the
-drift interval; a burst never straddles a boundary. Ground truth lists the
-index of the last record generated under each outgoing regime.
+The drift timeline is one list of segments, each an end index, the
+parameters in force up to it and whether its end is a drift. The first
+``prefix_len`` records are generated under a distinct regime 0, standing
+in for a real-world prefix, so the switch to the schedule's parameters is
+a genuine generative change and counts as the first drift. Each later
+segment ends where the schedule changes parameters, at multiples of the
+drift interval, and the last one at ``n``. A change inside the prefix
+still ends a segment but is no drift; its parameters hold from the prefix
+end. Bursts are clipped to their segment's end, so none straddles a
+change. Ground truth lists the index of the last record of every drift
+segment, which is every segment but the last and those inside the prefix.
 """
 
 from __future__ import annotations
@@ -63,25 +68,19 @@ class GeneratorConfig:
 
 
 @dataclass(frozen=True)
-class Regime:
-    start: int
-    rho: float
-    l_min: int
-    l_max: int
-
-
-@dataclass(frozen=True)
 class DriftSchedule:
-    """Parameter regimes over the record index axis.
+    """Where the schedule changes parameters, over the record index axis.
 
-    Boundaries sit at multiples of the drift interval: the gradual pattern
-    changes parameters at 2, 3, and 4 intervals; the recurring pattern at
-    2 and 3 (switch to the raised plateau, then back).
+    ``changes`` holds ``(index, (rho, l_min, l_max))`` pairs in index order:
+    records after ``index`` are generated under those parameters, and
+    before the first change under ``BASE_PARAMS``. The gradual pattern
+    changes at 2, 3 and 4 drift intervals (raised, base, raised); the
+    recurring pattern at 2 and 3 (raised, then back to base).
     """
 
     pattern: str
     delta_r: int
-    regimes: tuple[Regime, ...]
+    changes: tuple[tuple[int, tuple[float, int, int]], ...]
 
     @classmethod
     def make(cls, pattern: str, delta_r: int) -> "DriftSchedule":
@@ -89,16 +88,11 @@ class DriftSchedule:
             raise ValueError(f"unknown drift pattern: {pattern!r}")
         if delta_r <= 0:
             raise ValueError("drift interval must be positive")
-        plateaus = [BASE_PARAMS, RAISED_PARAMS, BASE_PARAMS]
-        if pattern == "gradual":
-            plateaus.append(RAISED_PARAMS)
-        regimes = [Regime(0, *plateaus[0])]
-        for k, params in enumerate(plateaus[1:], start=2):
-            regimes.append(Regime(k * delta_r, *params))
-        return cls(pattern, delta_r, tuple(regimes))
-
-    def boundaries(self) -> list[int]:
-        return [r.start for r in self.regimes[1:]]
+        plateaus = [RAISED_PARAMS, BASE_PARAMS, RAISED_PARAMS]
+        if pattern == "recurring":
+            plateaus.pop()
+        return cls(pattern, delta_r,
+                   tuple((k * delta_r, p) for k, p in enumerate(plateaus, start=2)))
 
 
 @dataclass(frozen=True)
@@ -107,19 +101,6 @@ class GroundTruth:
 
     cd_indices: tuple[int, ...]
     cd_timestamps: tuple[int, ...]
-
-
-def schedule_params(schedule: DriftSchedule, index: int) -> tuple[float, int, int]:
-    """Active (rho, l_min, l_max) at a record index (prefix not considered)."""
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    active = schedule.regimes[0]
-    for regime in schedule.regimes[1:]:
-        if regime.start <= index:
-            active = regime
-        else:
-            break
-    return (active.rho, active.l_min, active.l_max)
 
 
 class _RecentGraph:
@@ -133,15 +114,6 @@ class _RecentGraph:
 
     def open_burst(self) -> None:
         self._bursts.append([])
-        self._rebuild()
-
-    def add(self, i: str, j: str) -> None:
-        self._bursts[-1].append((i, j))
-        self.edges.append((i, j))
-        self.i_of_j.setdefault(j, []).append(i)
-        self.j_of_i.setdefault(i, []).append(j)
-
-    def _rebuild(self) -> None:
         self.edges = [e for burst in self._bursts for e in burst]
         self.i_of_j = {}
         self.j_of_i = {}
@@ -149,29 +121,32 @@ class _RecentGraph:
             self.i_of_j.setdefault(j, []).append(i)
             self.j_of_i.setdefault(i, []).append(j)
 
+    def add(self, i: str, j: str) -> None:
+        self._bursts[-1].append((i, j))
+        self.edges.append((i, j))
+        self.i_of_j.setdefault(j, []).append(i)
+        self.j_of_i.setdefault(i, []).append(j)
+
 
 class _Emitter:
     def __init__(self, config: GeneratorConfig, schedule: DriftSchedule, n: int):
         if n <= config.prefix_len:
             raise ValueError("n must exceed the prefix length")
         self.config = config
-        self.schedule = schedule
-        self.n = n
         self.rng = random.Random(config.seed)
         self.recent = _RecentGraph(config.beta)
-        self.next_i = 0
-        self.next_j = 0
-        cuts = {config.prefix_len, n}
-        cuts.update(b for b in schedule.boundaries() if b < n)
-        self.cut_points = sorted(c for c in cuts if 0 < c <= n)
-        # Drifts: the end of the prefix and every later cut but the last.
-        self.mark_set = {c for c in self.cut_points if config.prefix_len <= c < n}
-        self.cd_marks: list[tuple[int, int]] = []
-
-    def _params_at(self, index: int) -> tuple[float, int, int]:
-        if index < self.config.prefix_len:
-            return (self.config.rho, self.config.l_min, self.config.l_max)
-        return schedule_params(self.schedule, index)
+        self.next_i = self.next_j = 0
+        # Walk the schedule's plateaus, splitting the one the prefix ends in.
+        # A change inside the prefix still ends a segment, but not a drift.
+        p = config.prefix_len
+        prefix = (config.rho, config.l_min, config.l_max)
+        self.segments: list[tuple[int, tuple[float, int, int], bool]] = []
+        start, params = 0, BASE_PARAMS
+        for end, following in [*(c for c in schedule.changes if c[0] < n), (n, None)]:
+            if start < p < end:
+                self.segments.append((p, prefix, True))
+            self.segments.append((end, prefix if end <= p else params, p <= end < n))
+            start, params = end, following
 
     def _fresh_i(self) -> str:
         self.next_i += 1
@@ -214,50 +189,40 @@ class _Emitter:
             return (i, self.rng.choice(js))
         return (i, self._fresh_j())
 
-    def records(self):
-        rng = self.rng
-        t = 0
-        tau = 0
-        cuts = list(self.cut_points)
-        while t < self.n:
-            rho, l_min, l_max = self._params_at(t)
-            size = 1 + sum(rng.random() < rho for _ in range(self.config.m)) \
-                + rng.randint(l_min, l_max)
-            while cuts and cuts[0] <= t:
-                cuts.pop(0)
-            if cuts:
-                size = min(size, cuts[0] - t)
-            tau += 1
-            self.recent.open_burst()
-            budget = size
-            while budget > 0:
-                if rng.random() < rho:
-                    edges = self._stamp_edges(rho, l_min, l_max)[:budget]
-                else:
-                    edges = [self._attach_edge()]
-                for i, j in edges:
-                    t += 1
-                    budget -= 1
-                    self.recent.add(i, j)
-                    if t in self.mark_set:
-                        self.cd_marks.append((t, tau))
-                    yield SGR(i, j, 1.0, tau, t)
-
     def run(self, sink) -> GroundTruth:
-        for record in self.records():
-            sink(record)
-        return GroundTruth(tuple(i for i, _ in self.cd_marks),
-                           tuple(ts for _, ts in self.cd_marks))
+        """Feed every record to ``sink`` in order and return the ground truth."""
+        rng = self.rng
+        m = self.config.m
+        t = tau = 0
+        marks: list[tuple[int, int]] = []
+        for end, (rho, l_min, l_max), is_drift in self.segments:
+            while t < end:
+                budget = min(end - t, 1 + sum(rng.random() < rho for _ in range(m))
+                             + rng.randint(l_min, l_max))
+                tau += 1
+                self.recent.open_burst()
+                while budget > 0:
+                    if rng.random() < rho:
+                        edges = self._stamp_edges(rho, l_min, l_max)[:budget]
+                    else:
+                        edges = [self._attach_edge()]
+                    for i, j in edges:
+                        t += 1
+                        budget -= 1
+                        self.recent.add(i, j)
+                        sink(SGR(i, j, 1.0, tau, t))
+            if is_drift:
+                marks.append((t, tau))
+        return GroundTruth(tuple(i for i, _ in marks), tuple(ts for _, ts in marks))
 
 
 def generate(config: GeneratorConfig, schedule: DriftSchedule,
              n: int) -> tuple[list[SGR], GroundTruth]:
     """Generate ``n`` records in memory along with their ground truth.
 
-    Drift indices are the prefix length plus every schedule boundary that
-    falls strictly inside the generated range; boundaries at or below the
-    prefix are suppressed. Output is a pure function of (config, schedule,
-    n).
+    Drift indices are the prefix length (if positive) plus every schedule
+    change strictly between it and ``n``. Output is a pure function of
+    (config, schedule, n).
     """
     records: list[SGR] = []
     truth = _Emitter(config, schedule, n).run(records.append)
@@ -286,14 +251,19 @@ def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
 
 
 def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
+    """Read a truth file; a line that is not two integers is a ``ValueError``."""
     indices: list[int] = []
     timestamps: list[int] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            index_s, tau_s = line.split(delimiter)
-            indices.append(int(index_s))
-            timestamps.append(int(tau_s))
+            try:
+                index, tau = map(int, line.split(delimiter))
+            except ValueError:
+                raise ValueError(f"truth line {lineno}: expected index{delimiter}tau "
+                                 f"(two integers), got {line!r}") from None
+            indices.append(index)
+            timestamps.append(tau)
     return GroundTruth(tuple(indices), tuple(timestamps))

@@ -146,6 +146,11 @@ def _sgr_fingerprint(report: EvalReport) -> tuple:
             (report.after_last.count, report.after_last.d_first, report.after_last.d_last))
 
 
+def check_runs(runs: int, batches: int) -> None:
+    if runs < 1 or batches < 1 or runs % batches:
+        raise ValueError("runs must be a positive multiple of batches")
+
+
 def repeated_timing(runner, truth: GroundTruth, runs: int = 100, batches: int = 10,
                     drift_interval: int | None = None) -> EvalReport:
     """Run a detector end to end ``runs`` times and aggregate ms distances.
@@ -160,8 +165,7 @@ def repeated_timing(runner, truth: GroundTruth, runs: int = 100, batches: int = 
     Record-count distances must be identical across all runs; a mismatch
     raises :class:`DeterminismError`.
     """
-    if runs < 1 or batches < 1 or runs % batches:
-        raise ValueError("runs must be a positive multiple of batches")
+    check_runs(runs, batches)
     per_batch = runs // batches
     reference: EvalReport | None = None
     ms_first: list[list[float]] = [[] for _ in truth.cd_indices]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .butterfly import BipartiteWindow, young_timestamps
-from .sgdp import suffix_size
+from .sgdp import check_variant, suffix_size
 from .signals import DriftSignal, now_ms
 from .stream_model import BurstProfile, SGR, ingest
 from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_step
@@ -46,6 +46,7 @@ class SgddConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.x <= 1.0:
             raise ValueError("youth fraction x must be in (0, 1]")
+        check_variant(self.variant)
 
 
 @dataclass

@@ -33,6 +33,11 @@ DEFAULT_F_SCHEDULE: tuple[float, ...] = (0.3,)
 VARIANTS = ("default", "appendix")
 
 
+def check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown suffix-size variant: {variant!r}")
+
+
 def _digits_floor_log10(x: float) -> int:
     # floor(log10(x)) for x >= 1, computed exactly via the decimal digit count
     return len(str(int(x))) - 1
@@ -47,8 +52,7 @@ def suffix_size(maximum: float, average: float, d: int, variant: str = "default"
     size of the drift-window log; the result is rounded up and clamped to
     at least 1.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown suffix-size variant: {variant!r}")
+    check_variant(variant)
     if d < 1:
         raise ValueError("d must be at least 1")
     num = _digits_floor_log10(max(maximum, 100))
@@ -78,8 +82,7 @@ class SgdpConfig:
     def __post_init__(self) -> None:
         if not self.f_schedule or not all(0.0 < f <= 1.0 for f in self.f_schedule):
             raise ValueError("threshold factors must lie in (0, 1]")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown suffix-size variant: {self.variant!r}")
+        check_variant(self.variant)
 
 
 @dataclass

@@ -150,7 +150,8 @@ def test_generate_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatc
 
 
 # Each case rejects one flag value and names the output file it would write;
-# every case runs in a directory that holds g.stream, g.truth and that file.
+# every case runs in a directory that holds g.stream, g.truth and that file,
+# and no case may start a detector run.
 REJECTED_FLAGS = {
     "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
                   "--out", "sig.jsonl"], "sig.jsonl"),
@@ -159,6 +160,11 @@ REJECTED_FLAGS = {
     "eval-repeat-x": (["eval", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",
                        "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
                        "--out", "."], "report.json"),
+    "eval-repeat-not-multiple": (["eval", "--repeat", "5", "--batches", "2", "--truth",
+                                  "g.truth", "--input", "g.stream", "--out", "."],
+                                 "report.json"),
+    "eval-repeat-zero": (["eval", "--repeat", "0", "--batches", "1", "--truth", "g.truth",
+                          "--input", "g.stream", "--out", "."], "report.json"),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "500", "--name", "g", "--out", "."], "g.stream"),
     "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
@@ -170,6 +176,8 @@ REJECTED_FLAGS = {
 def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
         tmp_path, capsys, monkeypatch, argv, output):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sgdrift.cli._detect_stream",
+                        lambda *args: pytest.fail("detector ran"))
     (tmp_path / "g.stream").write_text("".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 9)))
     (tmp_path / "g.truth").write_text("4,4\n")
     (tmp_path / "sig.jsonl").write_text("earlier signals\n")
@@ -194,6 +202,15 @@ def test_library_and_cli_sgdd_share_a_default_seed(tmp_path):
     first = [s.fingerprint() for s in run_sgdd(records)]
     second = [s.fingerprint() for s in run_sgdd(records)]
     assert cli and first == second == cli
+
+
+def test_detect_missing_input_leaves_existing_output(tmp_path, capsys):
+    out_file = tmp_path / "sig.jsonl"
+    out_file.write_text("earlier signals\n")
+    assert main(["detect", "--mode", "sgdp", "--input", str(tmp_path / "missing.stream"),
+                 "--out", str(out_file)]) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert out_file.read_text() == "earlier signals\n"
 
 
 def test_detect_malformed_line_aborts_with_line_number(tmp_path, capsys):
@@ -278,6 +295,16 @@ def test_eval_repeat_without_input_is_usage_error(tmp_path, capsys):
     truth.write_text("100,1\n")
     code = main(["eval", "--truth", str(truth), "--repeat", "4"])
     assert code == 1
+
+
+def test_eval_malformed_truth_line_is_data_error_naming_it(tmp_path, capsys):
+    signals = tmp_path / "signals.jsonl"
+    signals.write_text("")
+    truth = tmp_path / "t.truth"
+    truth.write_text("1000,50\n2000\n")
+    assert main(["eval", "--signals", str(signals), "--truth", str(truth),
+                 "--out", str(tmp_path)]) == 2
+    assert "data error: truth line 2: expected index,tau" in capsys.readouterr().err
 
 
 def _report_signals(report):

@@ -4,9 +4,9 @@ from statistics import fmean
 import pytest
 
 from sgdrift.butterfly import BipartiteWindow, enumerate_young
-from sgdrift.genstream import (DriftSchedule, GeneratorConfig, format_sgr,
-                               generate, generate_to_files, read_ground_truth,
-                               schedule_params)
+from sgdrift.genstream import (BASE_PARAMS, DriftSchedule, GeneratorConfig,
+                               format_sgr, generate, generate_to_files,
+                               read_ground_truth)
 from sgdrift.stream_model import parse_sgr
 
 
@@ -14,24 +14,22 @@ from sgdrift.stream_model import parse_sgr
 
 def test_gradual_schedule_plateaus():
     schedule = DriftSchedule.make("gradual", 100_000)
-    assert schedule_params(schedule, 150_000) == (0.4, 1, 4)
-    assert schedule_params(schedule, 250_000) == (0.6, 3, 4)
-    assert schedule_params(schedule, 350_000) == (0.4, 1, 4)
-    assert schedule_params(schedule, 450_000) == (0.6, 3, 4)
+    assert BASE_PARAMS == (0.4, 1, 4)
+    assert schedule.changes == ((200_000, (0.6, 3, 4)), (300_000, (0.4, 1, 4)),
+                                (400_000, (0.6, 3, 4)))
 
 
 def test_recurring_schedule_returns_to_original():
     schedule = DriftSchedule.make("recurring", 100_000)
-    assert schedule_params(schedule, 250_000) == (0.6, 3, 4)
-    assert schedule_params(schedule, 350_000) == (0.4, 1, 4)
-    assert schedule_params(schedule, 950_000) == (0.4, 1, 4)
+    assert schedule.changes == ((200_000, (0.6, 3, 4)), (300_000, (0.4, 1, 4)))
+    assert schedule.changes[-1][1] == BASE_PARAMS
 
 
 def test_change_counts_per_pattern():
     gradual = DriftSchedule.make("gradual", 10)
     recurring = DriftSchedule.make("recurring", 10)
-    assert gradual.boundaries() == [20, 30, 40]
-    assert recurring.boundaries() == [20, 30]
+    assert [index for index, _ in gradual.changes] == [20, 30, 40]
+    assert [index for index, _ in recurring.changes] == [20, 30]
 
 
 def test_schedule_validation():
@@ -39,8 +37,6 @@ def test_schedule_validation():
         DriftSchedule.make("sudden", 10)
     with pytest.raises(ValueError):
         DriftSchedule.make("gradual", 0)
-    with pytest.raises(ValueError):
-        schedule_params(DriftSchedule.make("gradual", 10), -1)
 
 
 # --- generation ------------------------------------------------------------------
@@ -55,7 +51,7 @@ def test_ground_truth_boundary_enumeration():
     config = GeneratorConfig(seed=1, prefix_len=5, m=2)
     schedule = DriftSchedule.make("gradual", 2)
     _, truth = generate(config, schedule, 10)
-    # boundaries at 4, 6, 8; those at or below the prefix are suppressed
+    # changes at 4, 6, 8; those at or below the prefix are suppressed
     assert truth.cd_indices == (5, 6, 8)
     assert len(truth.cd_timestamps) == 3
 
@@ -93,7 +89,7 @@ def test_bursts_share_tau_and_tau_strictly_increases():
 
 def test_bursts_never_straddle_boundaries():
     (records, truth), _, schedule = small_stream()
-    cuts = set(truth.cd_indices) | {b for b in schedule.boundaries()}
+    cuts = set(truth.cd_indices) | {index for index, _ in schedule.changes}
     burst_of = {}
     for r in records:
         burst_of.setdefault(r.tau, []).append(r.t)
@@ -174,3 +170,11 @@ def test_format_round_trips_through_parser():
     (records, _), _, _ = small_stream(n=400, delta=100, prefix=50)
     for r in records[:100]:
         assert parse_sgr(format_sgr(r), r.t) == r
+
+
+@pytest.mark.parametrize("bad", ["800", "800,123,5", "x,123", "800,12.5"])
+def test_malformed_truth_line_names_its_number(tmp_path, bad):
+    path = tmp_path / "t.truth"
+    path.write_text(f"300,58\n\n{bad}\n")
+    with pytest.raises(ValueError, match=r"^truth line 3: expected index,tau "):
+        read_ground_truth(path)

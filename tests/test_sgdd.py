@@ -9,6 +9,7 @@ from helpers import FIG5_DOTTED, FIG5_SOLID, taus_to_records
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
 from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, run_sgdd,
                           sgdd_step, sprime_length)
+from sgdrift.sgdp import SgdpConfig
 from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
 
 
@@ -231,3 +232,12 @@ def test_series_lengths_track_window_counter():
 def test_config_validation():
     with pytest.raises(ValueError):
         SgddConfig(x=0.0)
+
+
+def test_config_rejects_unknown_variant_like_sgdp():
+    messages = []
+    for config in (SgdpConfig, SgddConfig):
+        with pytest.raises(ValueError) as excinfo:
+            config(variant="nope")
+        messages.append(str(excinfo.value))
+    assert messages == ["unknown suffix-size variant: 'nope'"] * 2
