@@ -11,14 +11,13 @@ butterfly per pair of common i-neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .sgdp import count_threshold
 
 
-@dataclass(frozen=True, order=True)
-class ButterflyKey:
+class ButterflyKey(NamedTuple):
     """Canonical identity of one (2,2)-biclique {i_lo,i_hi} x {j_lo,j_hi}."""
 
     i_lo: str
@@ -94,8 +93,9 @@ def enumerate_young(window: BipartiteWindow, young: set[int]) -> list[ButterflyK
     """List every young butterfly in a closed window, in canonical order.
 
     For each pair of young j-vertices, the common i-neighbourhood is
-    intersected and every i-pair inside it yields one key. The output is
-    sorted and duplicate-free by construction.
+    intersected and every i-pair inside it yields one key. Both pairs come
+    from sorted, distinct lists, so each key is canonical as built. The
+    output is sorted and duplicate-free by construction.
     """
     young_js = sorted(j for j, tau in window.j_last_tau.items() if tau in young)
     found: list[ButterflyKey] = []
@@ -104,6 +104,6 @@ def enumerate_young(window: BipartiteWindow, young: set[int]) -> list[ButterflyK
         if len(common) < 2:
             continue
         for i1, i2 in combinations(sorted(common), 2):
-            found.append(ButterflyKey.make(i1, i2, j1, j2))
+            found.append(ButterflyKey(i1, i2, j1, j2))
     found.sort()
     return found

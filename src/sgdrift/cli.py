@@ -6,16 +6,14 @@ and the tool version, sufficient to re-run the command bit-identically
 downstream consumers can tail them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, found before any output is opened), 2 data error. Defaults honour
-environment variable overrides (SGDRIFT_SEED, SGDRIFT_F_SCHEDULE,
-SGDRIFT_X, SGDRIFT_SIGMA, SGDRIFT_VARIANT), parsed like their flags.
+rejects, found before any output is opened), 2 data error. Every default
+that a config class declares is read from that class.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import nullcontext
@@ -26,7 +24,8 @@ from .genstream import (DriftSchedule, GeneratorConfig, PATTERNS,
                         generate_to_files, read_ground_truth)
 from .harness import DeterminismError, check_runs, distances, repeated_timing
 from .sgdd import SgddConfig, SgddState, sgdd_step
-from .sgdp import DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, SgdpConfig, SgdpState, sgdp_step
+from .sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig, SgdpState,
+                   sgdp_step)
 from .signals import DriftSignal, now_ms
 from .stream_model import SgrParseError, parse_sgr
 
@@ -42,10 +41,6 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _env(name: str, fallback):
-    return os.environ.get(f"SGDRIFT_{name}", fallback)
 
 
 def _parse_f_schedule(text: str) -> tuple[float, ...]:
@@ -78,13 +73,12 @@ def _write_manifest(directory: Path, args, **extra) -> None:
 
 def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     """Detector knobs, shared by every subcommand that runs a detector."""
-    parser.add_argument("--f-schedule", default=_env("F_SCHEDULE", "default"),
+    parser.add_argument("--f-schedule", default="default",
                         help="'default' (0.3), 'full', or comma-separated factors")
-    parser.add_argument("--x", type=float, default=_env("X", "0.25"))
-    parser.add_argument("--sigma", type=float, default=_env("SIGMA", "1.0"))
-    parser.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    parser.add_argument("--variant", choices=("default", "appendix"),
-                        default=_env("VARIANT", "default"))
+    parser.add_argument("--x", type=float, default=SgddConfig.x)
+    parser.add_argument("--sigma", type=float, default=SgddConfig.sigma)
+    parser.add_argument("--seed", type=int, default=SgddConfig.seed)
+    parser.add_argument("--variant", choices=VARIANTS, default=SgddConfig.variant)
     parser.add_argument("--on-error", choices=("abort", "skip"), default="abort")
 
 
@@ -99,13 +93,14 @@ def build_parser() -> _Parser:
     gen.add_argument("--pattern", choices=PATTERNS, required=True)
     gen.add_argument("--delta", type=int, required=True, help="drift interval in records")
     gen.add_argument("--n", type=int, required=True, help="total records")
-    gen.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    gen.add_argument("--prefix-len", type=int, default=1000)
-    gen.add_argument("--rho", type=float, default=0.3, help="regime-0 connection probability")
-    gen.add_argument("--lmin", type=int, default=1)
-    gen.add_argument("--lmax", type=int, default=2)
-    gen.add_argument("--beta", type=int, default=5)
-    gen.add_argument("--m", type=int, default=10)
+    gen.add_argument("--seed", type=int, default=GeneratorConfig.seed)
+    gen.add_argument("--prefix-len", type=int, default=GeneratorConfig.prefix_len)
+    gen.add_argument("--rho", type=float, default=GeneratorConfig.rho,
+                     help="regime-0 connection probability")
+    gen.add_argument("--lmin", type=int, default=GeneratorConfig.l_min)
+    gen.add_argument("--lmax", type=int, default=GeneratorConfig.l_max)
+    gen.add_argument("--beta", type=int, default=GeneratorConfig.beta)
+    gen.add_argument("--m", type=int, default=GeneratorConfig.m)
     gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
     gen.add_argument("--name", default=None, help="basename for stream/truth files")
     gen.add_argument("--batch", action="store_true",
@@ -229,10 +224,13 @@ def _cmd_detect(args) -> int:
 def _read_signals(path: str) -> list[DriftSignal]:
     signals = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
-                signals.append(DriftSignal.from_json(line))
+                try:
+                    signals.append(DriftSignal.from_json(line))
+                except ValueError as exc:
+                    raise DataError(f"signals line {lineno}: {exc}") from None
     return signals
 
 
@@ -250,6 +248,9 @@ def _timing_runner(args, truth):
 
         with open(args.input, encoding="utf-8") as handle:
             _detect_stream(handle, args, configs, signals.append, stamp)
+        if None in cd_wall:
+            raise DataError(f"truth drift index {truth.cd_indices[cd_wall.index(None)]} "
+                            f"is no record of {args.input}")
         return signals, cd_wall
 
     return run

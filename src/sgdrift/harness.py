@@ -151,7 +151,7 @@ def check_runs(runs: int, batches: int) -> None:
         raise ValueError("runs must be a positive multiple of batches")
 
 
-def repeated_timing(runner, truth: GroundTruth, runs: int = 100, batches: int = 10,
+def repeated_timing(runner, truth: GroundTruth, runs: int, batches: int,
                     drift_interval: int | None = None) -> EvalReport:
     """Run a detector end to end ``runs`` times and aggregate ms distances.
 

@@ -34,7 +34,7 @@ def butterfly_ident(key: ButterflyKey) -> int:
     Seed-free and stable across runs and platforms; distinct keys may
     collide, which is tolerated (identifiers only feed the phase embedding).
     """
-    payload = "\x1f".join((key.i_lo, key.i_hi, key.j_lo, key.j_hi)).encode("utf-8")
+    payload = "\x1f".join(key).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=4).digest(), "big")
 
 

@@ -133,22 +133,6 @@ def test_detect_rejects_removed_sprime_flag(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,value", [("X", "abc"), ("SIGMA", "abc"), ("SEED", "1.5")])
-def test_detect_malformed_env_override_is_usage_error(capsys, monkeypatch, name, value):
-    monkeypatch.setenv(f"SGDRIFT_{name}", value)
-    code = run_cli(["detect", "--mode", "sgdd", "--input", "-"], stdin_text="u1,v1,1.0,1\n")
-    assert code == 1
-    assert "usage error" in capsys.readouterr().err
-
-
-def test_generate_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SGDRIFT_SEED", "1.5")
-    assert main(["generate", "--pattern", "gradual", "--delta", "100", "--n", "400",
-                 "--prefix-len", "50", "--out", str(tmp_path)]) == 1
-    assert "usage error" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.stream"))
-
-
 # Each case rejects one flag value and names the output file it would write;
 # every case runs in a directory that holds g.stream, g.truth and that file,
 # and no case may start a detector run.
@@ -188,7 +172,34 @@ def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
     assert (tmp_path / output).read_bytes() == before
 
 
-def test_library_and_cli_sgdd_share_a_default_seed(tmp_path):
+def _outputs_without_seed_flags(directory):
+    """Stream bytes and sgdd signal fingerprints of a run that sets no seed."""
+    assert main(["generate", "--pattern", "gradual", "--delta", "300", "--n", "1200",
+                 "--prefix-len", "150", "--out", str(directory), "--name", "g"]) == 0
+    signals = directory / "signals.jsonl"
+    assert main(["detect", "--mode", "sgdd", "--input", str(directory / "g.stream"),
+                 "--out", str(signals)]) == 0
+    return ((directory / "g.stream").read_bytes(),
+            [DriftSignal.from_json(line).fingerprint()
+             for line in signals.read_text().splitlines()])
+
+
+@pytest.mark.parametrize("value", ["5", ""], ids=["five", "blank"])
+def test_seed_environment_variable_changes_nothing(tmp_path, monkeypatch, value):
+    unset = _outputs_without_seed_flags(tmp_path / "unset")
+    assert unset[1], "sgdd must signal, or its seed is untested"
+    monkeypatch.setenv("SGDRIFT_SEED", value)
+    assert _outputs_without_seed_flags(tmp_path / "set") == unset
+
+
+def test_library_and_cli_sgdd_share_a_default_seed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--pattern", "recurring", "--delta", "500", "--n", "3000"]) == 0
+    generate_to_files(GeneratorConfig(), DriftSchedule.make("recurring", 500), 3000,
+                      tmp_path / "lib.stream", tmp_path / "lib.truth")
+    assert (tmp_path / "R_500_0.stream").read_bytes() == (tmp_path / "lib.stream").read_bytes()
+    assert (tmp_path / "R_500_0.truth").read_bytes() == (tmp_path / "lib.truth").read_bytes()
+
     stream, truth = tmp_path / "g.stream", tmp_path / "g.truth"
     generate_to_files(GeneratorConfig(seed=3, prefix_len=500),
                       DriftSchedule.make("recurring", 500), 3000, stream, truth)
@@ -240,13 +251,6 @@ def test_detect_reproducible_across_invocations(tmp_path, capsys):
                    for line in out_file.read_text().splitlines()]
         outputs.append([s.fingerprint() for s in signals])
     assert outputs[0] == outputs[1]
-
-
-def test_detect_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SGDRIFT_F_SCHEDULE", "full")
-    parser_args = ["detect", "--mode", "sgdp", "--input", "-"]
-    code = run_cli(parser_args, stdin_text="u1,v1,1.0,1\n")
-    assert code == 0
 
 
 # --- eval ------------------------------------------------------------------------
@@ -343,3 +347,28 @@ def test_eval_repeat_malformed_line_reports_line_number(tmp_path, capsys):
                  "--repeat", "1", "--batches", "1", "--out", str(tmp_path / "rep")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_eval_repeat_drift_past_stream_end_is_data_error(tmp_path, capsys):
+    stream, truth_file = generate_small(tmp_path, n=900, delta=250, prefix=100)
+    last = read_ground_truth(truth_file).cd_indices[-1]
+    cut = tmp_path / "cut.stream"
+    cut.write_text("".join(stream.read_text().splitlines(keepends=True)[:last - 100]))
+    code = main(["eval", "--truth", str(truth_file), "--input", str(cut),
+                 "--repeat", "1", "--batches", "1", "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert f"data error: truth drift index {last} is no record of" in capsys.readouterr().err
+    assert not (tmp_path / "rep" / "report.json").exists()
+
+
+@pytest.mark.parametrize("line", ['{"t": 5}', "[1,2]", '{"mode": "sgdp", "t": "5", "W": 1}',
+                                  "not json"])
+def test_eval_malformed_signal_line_is_data_error_naming_it(tmp_path, capsys, line):
+    signals = tmp_path / "signals.jsonl"
+    signals.write_text(DriftSignal("sgdp", 900, 90, 1.0).to_json() + "\n" + line + "\n")
+    truth = tmp_path / "t.truth"
+    truth.write_text("1000,50\n")
+    assert main(["eval", "--signals", str(signals), "--truth", str(truth),
+                 "--out", str(tmp_path / "rep")]) == 2
+    assert "data error: signals line 2:" in capsys.readouterr().err
+    assert not (tmp_path / "rep" / "report.json").exists()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sgdrift.signals import DriftSignal
 
 
@@ -19,3 +21,12 @@ def test_fingerprint_excludes_wall_clock():
     b = DriftSignal("sgdp", 42, 7, 99.0, {"f": 0.3})
     assert a.fingerprint() == b.fingerprint()
     assert a.to_json() != b.to_json()
+
+
+@pytest.mark.parametrize("line", ['{"t": 5, "W": 1}', "[1, 2]", '"t"',
+                                  '{"mode": "sgdp", "t": "5", "W": 1}',
+                                  '{"mode": "sgdp", "t": 5, "W": 1.0}',
+                                  '{"mode": "sgdp", "t": true, "W": 1}'])
+def test_from_json_rejects_malformed_lines(line):
+    with pytest.raises(ValueError):
+        DriftSignal.from_json(line)
