@@ -251,7 +251,7 @@ def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
 
 
 def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
-    """Read a truth file; a line that is not two integers is a ``ValueError``."""
+    """Read a truth file; a bad line or non-increasing index is a ``ValueError``."""
     indices: list[int] = []
     timestamps: list[int] = []
     with open(path, encoding="utf-8") as handle:
@@ -264,6 +264,8 @@ def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
             except ValueError:
                 raise ValueError(f"truth line {lineno}: expected index{delimiter}tau "
                                  f"(two integers), got {line!r}") from None
+            if indices and index <= indices[-1]:
+                raise ValueError(f"truth line {lineno}: index {index} does not increase")
             indices.append(index)
             timestamps.append(tau)
     return GroundTruth(tuple(indices), tuple(timestamps))

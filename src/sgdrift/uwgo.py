@@ -11,8 +11,8 @@ identical neighbourhoods hash to identical phases and isolated vertices
 sit at phase zero; linking two vertices updates both their phases.
 
 One coupled-oscillator integration step per window predicts the phase
-changes. The coupling follows the attractive convention sin(theta_n -
-theta_v), which is the form the staged integrator equations spell out.
+changes under the attractive coupling sin(theta_n - theta_v), taking each
+edge's sine once for both ends (bit-exact: sin is odd, rounding symmetric).
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class OscillatorGraph:
     ``vertices`` maps each butterfly key to its id; ids count up from 0 in
     insertion order and index the per-vertex lists: ``keys``, ``ident``,
     ``nbr_sum`` (the exact integer sum of the neighbours' identifiers),
-    ``theta`` (that sum modulo 2*pi, updated by every link), ``omega`` and
-    ``links``, a list of ``(neighbour id, weight)`` pairs in edge-insertion
-    order. ``order`` lists the ids in canonical key order. Edges are only
-    ever added, so no per-window state is rebuilt.
+    ``theta`` (that sum modulo 2*pi, updated by every link) and ``omega``.
+    ``order`` lists the ids in canonical key order. ``edges`` holds each
+    undirected edge once as ``(u, v, weight)``, in insertion order (edges are
+    only ever added): per vertex, the order ``rk4_step`` sums its terms in.
     """
 
     def __init__(self) -> None:
@@ -57,7 +57,7 @@ class OscillatorGraph:
         self.nbr_sum: list[int] = []
         self.theta: list[float] = []
         self.omega: list[float] = []
-        self.links: list[list[tuple[int, int]]] = []
+        self.edges: list[tuple[int, int, float]] = []
         self.order: list[int] = []
         self._by_j: dict[str, set[int]] = {}
 
@@ -65,7 +65,7 @@ class OscillatorGraph:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        return sum(map(len, self.links)) // 2
+        return len(self.edges)
 
     def _add_vertex(self, key: ButterflyKey) -> int:
         v = len(self.keys)
@@ -75,7 +75,6 @@ class OscillatorGraph:
         self.nbr_sum.append(0)
         self.theta.append(0.0)
         self.omega.append(0.0)
-        self.links.append([])
         insort(self.order, v, key=self.keys.__getitem__)
         for j in key.j_vertices:
             self._by_j.setdefault(j, set()).add(v)
@@ -83,8 +82,7 @@ class OscillatorGraph:
 
     def _add_edge(self, u: int, v: int, weight: int) -> None:
         """Link two ids that are not linked yet and update both phases."""
-        self.links[u].append((v, weight))
-        self.links[v].append((u, weight))
+        self.edges.append((u, v, float(weight)))
         self.nbr_sum[u] += self.ident[v]
         self.nbr_sum[v] += self.ident[u]
         self.theta[u] = math.fmod(float(self.nbr_sum[u]), TWO_PI)
@@ -165,16 +163,15 @@ def rk4_step(graph: OscillatorGraph) -> list[float]:
     Returns the predicted phase change of every vertex over one step of
     size ``STEP``, indexed by vertex id, without mutating the graph's phases.
     """
-    theta0, omega, links = graph.theta, graph.omega, graph.links
+    theta0, omega, edges = graph.theta, graph.omega, graph.edges
     sin = math.sin
 
     def deriv(theta: list[float]) -> list[float]:
-        out = []
-        for v, (base, edges) in enumerate(zip(omega, links)):
-            tv = theta[v]
-            for u, w in edges:
-                base += w * sin(theta[u] - tv)
-            out.append(base)
+        out = omega.copy()
+        for u, v, w in edges:
+            p = w * sin(theta[v] - theta[u])
+            out[u] += p
+            out[v] -= p
         return out
 
     half = 0.5 * STEP

@@ -10,7 +10,7 @@ from itertools import combinations
 
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
 from sgdrift.stream_model import SGR, SgrParseError, parse_sgr
-from sgdrift.uwgo import OscillatorGraph
+from sgdrift.uwgo import STEP, OscillatorGraph
 
 # Worked-example window: solid edges form eight butterflies connected
 # through j-vertices; dotted edges participate in none (the two j0 edges
@@ -123,11 +123,48 @@ def unit_weights(n: int) -> list[list[int]]:
     return [[int(a != b) for b in range(n)] for a in range(n)]
 
 
-def edge_weights(graph: OscillatorGraph) -> dict[tuple[ButterflyKey, ButterflyKey], int]:
+def adjacency(graph: OscillatorGraph) -> list[list[tuple[int, float]]]:
+    """Per-vertex ``(neighbour id, weight)`` lists, in edge-insertion order."""
+    links: list[list[tuple[int, float]]] = [[] for _ in range(len(graph))]
+    for u, v, w in graph.edges:
+        links[u].append((v, w))
+        links[v].append((u, w))
+    return links
+
+
+def edge_weights(graph: OscillatorGraph) -> dict[tuple[ButterflyKey, ButterflyKey], float]:
     """Every edge once, as {(lower key, higher key): weight}."""
     keys = graph.keys
-    return {(keys[u], keys[n]): w for u, edges in enumerate(graph.links)
-            for n, w in edges if keys[u] < keys[n]}
+    return {(min(keys[u], keys[v]), max(keys[u], keys[v])): w for u, v, w in graph.edges}
+
+
+def rk4_oracle(graph: OscillatorGraph) -> list[float]:
+    """The per-vertex RK4 kernel: each vertex sums its own coupling terms.
+
+    Vertex v starts from omega_v and adds w * sin(theta_n - theta_v) for
+    its neighbours n in edge-insertion order, evaluating every edge's sine
+    twice (once per end). The scatter-add kernel in ``rk4_step`` must equal
+    it bit for bit.
+    """
+    theta0, omega, links = graph.theta, graph.omega, adjacency(graph)
+    sin = math.sin
+
+    def deriv(theta: list[float]) -> list[float]:
+        out = []
+        for v, (base, edges) in enumerate(zip(omega, links)):
+            tv = theta[v]
+            for u, w in edges:
+                base += w * sin(theta[u] - tv)
+            out.append(base)
+        return out
+
+    half = 0.5 * STEP
+    k1 = deriv(theta0)
+    k2 = deriv([t + half * k for t, k in zip(theta0, k1)])
+    k3 = deriv([t + half * k for t, k in zip(theta0, k2)])
+    k4 = deriv([t + STEP * k for t, k in zip(theta0, k3)])
+    sixth = STEP / 6.0
+    return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
 def rk4_reference(thetas: list[float], omegas: list[float],

@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, brute_force_butterflies,
+from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, adjacency, brute_force_butterflies,
                      edge_weights, fig5_window, random_bipartite_window,
                      rk4_reference, unit_weights, weighted_graph, window_edges)
 from sgdrift.butterfly import enumerate_young
@@ -95,7 +95,7 @@ def test_acceptance_worked_example():
                 for (a, b), w in FIG5_EDGES.items()}
     assert edge_weights(graph) == expected
     ids = [graph.vertices[k] for k in FIG5_BUTTERFLIES]
-    assert graph.links[ids[7]] == []
+    assert adjacency(graph)[ids[7]] == []
     assign_phases(graph, random.Random(0))
     assert graph.theta[ids[7]] == 0.0
     assert graph.theta[ids[4]] == graph.theta[ids[6]]

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +310,23 @@ def test_eval_malformed_truth_line_is_data_error_naming_it(tmp_path, capsys):
     assert main(["eval", "--signals", str(signals), "--truth", str(truth),
                  "--out", str(tmp_path)]) == 2
     assert "data error: truth line 2: expected index,tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("truth_text", ["2,2\n2,2\n", "3,3\n\n2,2\n"],
+                         ids=["repeated", "decreasing"])
+@pytest.mark.parametrize("run", [["--signals", "signals.jsonl"],
+                                 ["--input", "s.stream", "--repeat", "1", "--batches", "1"]],
+                         ids=["offline", "repeat"])
+def test_eval_non_increasing_truth_index_is_data_error_naming_it(tmp_path, capsys, monkeypatch,
+                                                                 truth_text, run):
+    monkeypatch.chdir(tmp_path)
+    Path("signals.jsonl").write_text("")
+    Path("s.stream").write_text("".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 5)))
+    Path("t.truth").write_text(truth_text)
+    assert main(["eval", "--truth", "t.truth", "--out", "rep", *run]) == 2
+    line = truth_text.count("\n")
+    assert f"data error: truth line {line}: index 2 does not increase" in capsys.readouterr().err
+    assert not Path("rep").exists()
 
 
 def _report_signals(report):

@@ -8,7 +8,8 @@ The burst window, which keeps its edges only as per-j neighbour sets, is
 checked against a literal edge set plus a last-touch dict. sgdd, which
 derives its window index from its series and keeps every phase current as
 edges arrive, is checked window by window against a from-scratch
-recomputation, on streams with and without butterflies.
+recomputation, on streams with and without butterflies. The scatter-add
+RK4 kernel is checked for bit-equality against the per-vertex one.
 """
 
 import math
@@ -17,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (ReferenceProfile, brute_force_butterflies, reference_ingest,
-                     reference_parse_sgr, reference_young)
-from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
+                     reference_parse_sgr, reference_young, rk4_oracle)
+from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
+                               young_timestamps)
 from sgdrift.sgdd import SgddConfig, SgddState, sgdd_step
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
-from sgdrift.uwgo import TWO_PI, butterfly_ident, order_parameter
+from sgdrift.uwgo import (TWO_PI, OscillatorGraph, butterfly_ident, order_parameter,
+                          rk4_step)
 
 # Runs of one timestamp (bursts), drawn from a small range so that values
 # repeat, come back late and go down as well as up.
@@ -135,6 +138,43 @@ def test_sgdd_window_bookkeeping_matches_recomputation(bursts, fresh, x, seed):
                 assert state.o1[-1] == (state.o1[-2] if windows > 1 else 0.0)
 
 
+@st.composite
+def oscillator_graphs(draw):
+    """A graph whose edges go in, each way round, in a random order.
+
+    Phases come partly from a small pool, so that linked vertices often sit
+    at equal phases and their difference is exactly zero.
+    """
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = OscillatorGraph()
+    for k in range(n):
+        graph._add_vertex(ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
+    for a, b in chosen:
+        u, v = (b, a) if draw(st.booleans()) else (a, b)
+        graph._add_edge(u, v, draw(st.integers(1, 60)))
+    phase = st.floats(0.0, TWO_PI, exclude_max=True)
+    pool = draw(st.lists(phase, min_size=1, max_size=3))
+    graph.theta[:] = draw(st.lists(st.one_of(st.sampled_from(pool), phase),
+                                   min_size=n, max_size=n))
+    graph.omega[:] = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(oscillator_graphs())
+def test_rk4_scatter_add_bit_identical_to_per_vertex_oracle(graph):
+    theta = graph.theta
+    for u, v, _ in graph.edges:
+        x = theta[v] - theta[u]
+        # The scatter-add kernel gives v the term -w*sin(x) in place of
+        # w*sin(-x); a libm whose sin is not odd breaks it, named here.
+        assert math.sin(-x) == -math.sin(x), f"sin is not odd at {x!r}"
+    # List equality compares element by element with ==, no tolerance.
+    assert rk4_step(graph) == rk4_oracle(graph)
+
+
 # Field text: numbers, words, empty strings and delimiter-free junk, padded
 # with ASCII and Unicode whitespace.
 spaces = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x85\xa0 　", max_size=3)
@@ -148,8 +188,10 @@ padded = st.builds(lambda a, tok, b: a + tok + b, spaces, tokens, spaces)
 
 
 def _outcome(parse, line, delimiter):
+    # The repr, so that two parses of "nan" agree (nan != nan); float reprs
+    # round-trip, so nothing else that differs compares equal.
     try:
-        return parse(line, 7, delimiter)
+        return repr(parse(line, 7, delimiter))
     except SgrParseError as exc:
         return ("error", str(exc))
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, edge_weights, fig5_window,
-                     order_parameter_oracle, random_bipartite_window,
+from helpers import (FIG5_BUTTERFLIES, FIG5_EDGES, adjacency, edge_weights,
+                     fig5_window, order_parameter_oracle, random_bipartite_window,
                      rk4_reference, unit_weights, weighted_graph)
 from sgdrift.butterfly import ButterflyKey
 from sgdrift.uwgo import (OscillatorGraph, TWO_PI, assign_phases,
@@ -44,7 +44,7 @@ def test_fig5_projection_edges_and_weights():
     v = FIG5_BUTTERFLIES
     expected = {(v[a], v[b]): w for (a, b), w in FIG5_EDGES.items()}
     assert edge_weights(graph) == expected
-    assert graph.links[graph.vertices[v[7]]] == []  # last butterfly stays isolated
+    assert adjacency(graph)[graph.vertices[v[7]]] == []  # last butterfly stays isolated
 
 
 def test_projection_clears_window():
@@ -64,7 +64,7 @@ def test_single_butterfly_is_isolated():
     graph = OscillatorGraph()
     keys = project(window, graph, {1})
     assert len(keys) == 1 and len(graph) == 1
-    assert graph.links[graph.vertices[keys[0]]] == []
+    assert adjacency(graph)[graph.vertices[keys[0]]] == []
 
 
 def test_disjoint_butterflies_stay_disconnected():
@@ -100,7 +100,7 @@ def test_cross_window_linking_uses_cumulative_j_index():
     project(window, graph, {2})
     first = ButterflyKey.make("a", "b", "x", "y")
     second = ButterflyKey.make("c", "d", "x", "z")
-    assert dict(graph.links[graph.vertices[second]])[graph.vertices[first]] == 2
+    assert dict(adjacency(graph)[graph.vertices[second]])[graph.vertices[first]] == 2
 
 
 def test_weights_at_least_two_wherever_linked():
@@ -109,7 +109,7 @@ def test_weights_at_least_two_wherever_linked():
         window = random_bipartite_window(rng)
         graph = OscillatorGraph()
         project(window, graph, {1, 2})
-        for edges in graph.links:
+        for edges in adjacency(graph):
             for _, w in edges:
                 assert w >= 2
 
@@ -148,7 +148,7 @@ def test_incremental_phases_match_full_recompute():
     for seed in range(12):
         project(random_bipartite_window(random.Random(seed)), graph, {1, 2})
         assign_phases(graph, rng)
-        for v, edges in enumerate(graph.links):
+        for v, edges in enumerate(adjacency(graph)):
             total = sum(graph.ident[u] for u, _ in edges)
             assert graph.theta[v] == math.fmod(float(total), TWO_PI)
     assert graph.edge_count() > len(graph)
