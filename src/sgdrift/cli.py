@@ -22,7 +22,8 @@ from pathlib import Path
 from . import __version__
 from .genstream import (DriftSchedule, GeneratorConfig, PATTERNS,
                         generate_to_files, read_ground_truth)
-from .harness import DeterminismError, check_runs, distances, repeated_timing
+from .harness import (DeterminismError, check_drift_interval, check_runs, distances,
+                      repeated_timing)
 from .sgdd import SgddConfig, SgddState, sgdd_step
 from .sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig, SgdpState,
                    sgdp_step)
@@ -55,6 +56,12 @@ def _parse_f_schedule(text: str) -> tuple[float, ...]:
     if not values:
         raise UsageError("f schedule is empty")
     return values
+
+
+def _delimiter(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("delimiter must not be empty")
+    return text
 
 
 def _write_manifest(directory: Path, args, **extra) -> None:
@@ -110,7 +117,7 @@ def build_parser() -> _Parser:
     det.add_argument("--mode", choices=("sgdp", "sgdd", "both"), required=True)
     det.add_argument("--input", required=True, help="stream file, or - for stdin")
     det.add_argument("--out", default="-", help="signal file (JSON lines), or - for stdout")
-    det.add_argument("--delimiter", default=",")
+    det.add_argument("--delimiter", type=_delimiter, default=",")
     _add_detector_args(det)
 
     ev = sub.add_parser("eval", help="score signals against ground truth")
@@ -124,7 +131,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--batches", type=int, default=10)
     ev.add_argument("--input", help="stream file (timing protocol)")
     ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp")
-    ev.add_argument("--delimiter", default=",")
+    ev.add_argument("--delimiter", type=_delimiter, default=",")
     _add_detector_args(ev)
     return parser
 
@@ -257,16 +264,18 @@ def _timing_runner(args, truth):
 
 
 def _cmd_eval(args) -> int:
+    try:
+        check_drift_interval(args.delta)
+        if args.repeat is not None:
+            check_runs(args.repeat, args.batches)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.repeat is not None and not args.input:
+        raise UsageError("--repeat needs --input (stream to re-run)")
     truth = read_ground_truth(args.truth, args.delimiter)
     if not truth.cd_indices:
         raise DataError("ground-truth file is empty, nothing to score")
     if args.repeat is not None:
-        if not args.input:
-            raise UsageError("--repeat needs --input (stream to re-run)")
-        try:
-            check_runs(args.repeat, args.batches)
-        except ValueError as exc:
-            raise UsageError(f"--repeat/--batches: {exc}") from None
         runner = _timing_runner(args, truth)
         try:
             report = repeated_timing(runner, truth, runs=args.repeat,

@@ -111,6 +111,7 @@ def _bucketize(signals: list[DriftSignal],
 def distances(signals: list[DriftSignal], truth: GroundTruth,
               drift_interval: int | None = None) -> EvalReport:
     """Score one signal list against ground truth (record counts only)."""
+    check_drift_interval(drift_interval)
     if not truth.cd_indices:
         raise ValueError("ground truth is empty, nothing to score")
     if any(b <= a for a, b in zip(truth.cd_indices, truth.cd_indices[1:])):
@@ -146,6 +147,11 @@ def _sgr_fingerprint(report: EvalReport) -> tuple:
             (report.after_last.count, report.after_last.d_first, report.after_last.d_last))
 
 
+def check_drift_interval(drift_interval: int | None) -> None:
+    if drift_interval is not None and drift_interval <= 0:
+        raise ValueError("drift interval must be positive")
+
+
 def check_runs(runs: int, batches: int) -> None:
     if runs < 1 or batches < 1 or runs % batches:
         raise ValueError("runs must be a positive multiple of batches")
@@ -166,6 +172,7 @@ def repeated_timing(runner, truth: GroundTruth, runs: int, batches: int,
     raises :class:`DeterminismError`.
     """
     check_runs(runs, batches)
+    check_drift_interval(drift_interval)
     per_batch = runs // batches
     reference: EvalReport | None = None
     ms_first: list[list[float]] = [[] for _ in truth.cd_indices]

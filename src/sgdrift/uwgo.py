@@ -12,7 +12,13 @@ sit at phase zero; linking two vertices updates both their phases.
 
 One coupled-oscillator integration step per window predicts the phase
 changes under the attractive coupling sin(theta_n - theta_v), taking each
-edge's sine once for both ends (bit-exact: sin is odd, rounding symmetric).
+edge's sine once for both ends. That is bit-exact against each vertex
+summing its own terms (sin is odd, rounding symmetric), up to the sign of
+an exact zero, which no coherence sum sees. Work that a window leaves
+unchanged is not redone, and the results stay bit-identical: the step's
+first stage reads its coupling terms from a table that re-takes only the
+edges of vertices whose phase was rewritten, and frequencies are drawn
+two per pair of uniforms, exactly as ``random.Random.gauss`` draws them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import hashlib
 import math
 import random
 from bisect import insort
+from itertools import compress, islice
+from operator import is_not
 
 from .butterfly import BipartiteWindow, ButterflyKey, enumerate_young
 
@@ -48,6 +56,11 @@ class OscillatorGraph:
     ``order`` lists the ids in canonical key order. ``edges`` holds each
     undirected edge once as ``(u, v, weight)``, in insertion order (edges are
     only ever added): per vertex, the order ``rk4_step`` sums its terms in.
+
+    The graph also keeps a coupling-term table for ``rk4_step``'s first
+    stage, refreshed by ``coupling_terms``. It relies on vertices and edges
+    being append-only and on nothing else: it does not hook ``_add_edge``,
+    so callers may rewrite ``theta`` entries directly.
     """
 
     def __init__(self) -> None:
@@ -60,6 +73,12 @@ class OscillatorGraph:
         self.edges: list[tuple[int, int, float]] = []
         self.order: list[int] = []
         self._by_j: dict[str, set[int]] = {}
+        # The coupling-term table: one (u, v, w*sin(theta_v - theta_u)) per
+        # edge, each edge's index listed under both its ends, and the phase
+        # objects the terms were last taken from.
+        self._terms: list[tuple[int, int, float]] = []
+        self._incident: list[list[int]] = []
+        self._theta_seen: list[float] = []
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -87,6 +106,37 @@ class OscillatorGraph:
         self.nbr_sum[v] += self.ident[u]
         self.theta[u] = math.fmod(float(self.nbr_sum[u]), TWO_PI)
         self.theta[v] = math.fmod(float(self.nbr_sum[v]), TWO_PI)
+
+    def coupling_terms(self) -> list[tuple[int, int, float]]:
+        """Every edge's ``(u, v, w * sin(theta_v - theta_u))`` at the current phases.
+
+        The terms are in edge order and cached between calls. A call takes
+        the terms of edges added since the last one, and re-takes those of
+        every edge at a vertex whose ``theta`` entry is not the very float
+        object it saw last time. Comparing identities rather than values
+        costs one C-level pass over the phases, catches a 0.0 rewritten as
+        -0.0 (their sines differ in sign), and at worst re-takes a term
+        whose phase was rewritten with an equal value.
+        """
+        theta, edges, terms = self.theta, self.edges, self._terms
+        seen, incident = self._theta_seen, self._incident
+        sin = math.sin
+        known = len(seen)
+        stale: set[int] = set()
+        for x in list(compress(range(known), map(is_not, theta, seen))):
+            seen[x] = theta[x]
+            stale.update(incident[x])
+        for e in stale:
+            u, v, w = edges[e]
+            terms[e] = (u, v, w * sin(theta[v] - theta[u]))
+        seen.extend(theta[known:])
+        incident.extend([] for _ in range(known, len(seen)))
+        for e in range(len(terms), len(edges)):
+            u, v, w = edges[e]
+            incident[u].append(e)
+            incident[v].append(e)
+            terms.append((u, v, w * sin(theta[v] - theta[u])))
+        return terms
 
 
 def project(window: BipartiteWindow, graph: OscillatorGraph,
@@ -129,10 +179,32 @@ def assign_phases(graph: OscillatorGraph, rng: random.Random,
     it whenever the vertex gains an edge. Frequencies are drawn from a
     zero-mean Gaussian with standard deviation ``sigma``, in canonical
     vertex order so runs are reproducible for a given seed.
+
+    The result, and the state ``rng`` is left in, are exactly those of one
+    ``rng.gauss(0.0, sigma)`` call per vertex. ``Random.gauss`` (the same
+    source on CPython 3.10-3.13) turns two uniforms into a cosine and a
+    sine value, returns the first as ``0.0 + z * sigma`` and keeps the
+    second in ``rng.gauss_next`` for the next call. The loop below does the
+    same arithmetic inline, one pair of vertices per pair of uniforms,
+    and leaves the ends to ``gauss`` itself: the first vertex spends a
+    value kept from an earlier call, and an unpaired last vertex keeps its
+    sine value for the next one.
     """
-    omega, gauss = graph.omega, rng.gauss
-    for v in graph.order:
-        omega[v] = gauss(0.0, sigma)
+    omega, order, gauss, uniform = graph.omega, graph.order, rng.gauss, rng.random
+    cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, TWO_PI
+    start = 0
+    if rng.gauss_next is not None and order:
+        omega[order[0]] = gauss(0.0, sigma)
+        start = 1
+    stop = len(order) - (len(order) - start) % 2
+    ids = islice(order, start, stop)
+    for a, b in zip(ids, ids):
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        omega[a] = 0.0 + cos(x2pi) * g2rad * sigma
+        omega[b] = 0.0 + sin(x2pi) * g2rad * sigma
+    if stop < len(order):
+        omega[order[stop]] = gauss(0.0, sigma)
 
 
 def order_parameter(phases) -> float:
@@ -162,6 +234,11 @@ def rk4_step(graph: OscillatorGraph) -> list[float]:
 
     Returns the predicted phase change of every vertex over one step of
     size ``STEP``, indexed by vertex id, without mutating the graph's phases.
+    Each stage scatters one term per edge, in edge order: it adds
+    p = w * sin(theta_v - theta_u) at u and subtracts it at v. The first
+    stage reads p from the graph's coupling-term table (``coupling_terms``),
+    which only re-takes the terms whose phases changed; the other three
+    stages evaluate theirs at shifted phases.
     """
     theta0, omega, edges = graph.theta, graph.omega, graph.edges
     sin = math.sin
@@ -175,7 +252,10 @@ def rk4_step(graph: OscillatorGraph) -> list[float]:
         return out
 
     half = 0.5 * STEP
-    k1 = deriv(theta0)
+    k1 = omega.copy()
+    for u, v, p in graph.coupling_terms():
+        k1[u] += p
+        k1[v] -= p
     k2 = deriv([t + half * k for t, k in zip(theta0, k1)])
     k3 = deriv([t + half * k for t, k in zip(theta0, k2)])
     k4 = deriv([t + STEP * k for t, k in zip(theta0, k3)])

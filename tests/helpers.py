@@ -144,7 +144,8 @@ def rk4_oracle(graph: OscillatorGraph) -> list[float]:
     Vertex v starts from omega_v and adds w * sin(theta_n - theta_v) for
     its neighbours n in edge-insertion order, evaluating every edge's sine
     twice (once per end). The scatter-add kernel in ``rk4_step`` must equal
-    it bit for bit.
+    it bit for bit, up to the sign of an exact zero: where two phases are
+    equal, one end adds -0.0 where this oracle adds 0.0.
     """
     theta0, omega, links = graph.theta, graph.omega, adjacency(graph)
     sin = math.sin

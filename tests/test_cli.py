@@ -150,6 +150,17 @@ REJECTED_FLAGS = {
                                  "report.json"),
     "eval-repeat-zero": (["eval", "--repeat", "0", "--batches", "1", "--truth", "g.truth",
                           "--input", "g.stream", "--out", "."], "report.json"),
+    "detect-empty-delimiter": (["detect", "--mode", "sgdp", "--delimiter", "", "--input",
+                                "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+    "eval-empty-delimiter": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
+                              "--delimiter", "", "--out", "."], "report.json"),
+    "eval-delta-zero": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
+                         "--delta", "0", "--out", "."], "report.json"),
+    "eval-delta-negative": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
+                             "--delta", "-5", "--out", "."], "report.json"),
+    "eval-repeat-delta-negative": (["eval", "--repeat", "1", "--batches", "1", "--delta",
+                                    "-5", "--truth", "g.truth", "--input", "g.stream",
+                                    "--out", "."], "report.json"),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "500", "--name", "g", "--out", "."], "g.stream"),
     "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",

@@ -60,6 +60,13 @@ def test_false_positive_needs_drift_interval():
     assert report.false_positives == 1  # only the one beyond 1000+300
 
 
+@pytest.mark.parametrize("interval", [0, -5])
+def test_non_positive_drift_interval_rejected(interval):
+    # A negative interval would count every trailing signal as a false positive.
+    with pytest.raises(ValueError, match="drift interval must be positive"):
+        distances([sig(900), sig(1005), sig(1400)], TRUTH_ONE, drift_interval=interval)
+
+
 def test_unsorted_signals_rejected():
     with pytest.raises(ValueError):
         distances([sig(995), sig(900)], TRUTH_ONE)

@@ -9,10 +9,15 @@ checked against a literal edge set plus a last-touch dict. sgdd, which
 derives its window index from its series and keeps every phase current as
 edges arrive, is checked window by window against a from-scratch
 recomputation, on streams with and without butterflies. The scatter-add
-RK4 kernel is checked for bit-equality against the per-vertex one.
+RK4 kernel is checked for equality against the per-vertex one, also on a
+graph that grows and has its phases rewritten between steps; there its
+cached first-stage terms must match terms taken afresh bit for bit.
+Paired frequency draws are checked against one ``Random.gauss`` call per
+vertex.
 """
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +29,8 @@ from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
 from sgdrift.sgdd import SgddConfig, SgddState, sgdd_step
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
-from sgdrift.uwgo import (TWO_PI, OscillatorGraph, butterfly_ident, order_parameter,
-                          rk4_step)
+from sgdrift.uwgo import (TWO_PI, OscillatorGraph, assign_phases, butterfly_ident,
+                          order_parameter, rk4_step)
 
 # Runs of one timestamp (bursts), drawn from a small range so that values
 # repeat, come back late and go down as well as up.
@@ -173,6 +178,75 @@ def test_rk4_scatter_add_bit_identical_to_per_vertex_oracle(graph):
         assert math.sin(-x) == -math.sin(x), f"sin is not odd at {x!r}"
     # List equality compares element by element with ==, no tolerance.
     assert rk4_step(graph) == rk4_oracle(graph)
+
+
+def _bits(values):
+    """Exact float text, so that 0.0 and -0.0 differ (they compare equal)."""
+    return [v.hex() for v in values]
+
+
+def _rewritten(old, kind, data):
+    if kind == "equal":
+        new = float(repr(old))
+        assert new == old and new is not old
+        return new
+    if kind == "zero":
+        # Toggles 0.0 <-> -0.0: equal values, different sines.
+        return -0.0 if math.copysign(1.0, old) > 0 else 0.0
+    return data.draw(st.floats(-TWO_PI, TWO_PI))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rk4_coupling_table_follows_growth_and_phase_rewrites(data):
+    graph = OscillatorGraph()
+    linked = set()
+    for _ in range(data.draw(st.integers(1, 6))):
+        for _ in range(data.draw(st.integers(0 if len(graph) else 1, 3))):
+            k = len(graph)
+            graph._add_vertex(ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
+        n = len(graph)
+        free = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in linked]
+        if free:
+            for a, b in data.draw(st.lists(st.sampled_from(free), unique=True, max_size=4)):
+                linked.add((a, b))
+                u, v = (b, a) if data.draw(st.booleans()) else (a, b)
+                graph._add_edge(u, v, data.draw(st.integers(1, 60)))
+        rewrites = st.tuples(st.integers(0, n - 1), st.sampled_from(["equal", "zero", "any"]))
+        for x, kind in data.draw(st.lists(rewrites, max_size=5)):
+            graph.theta[x] = _rewritten(graph.theta[x], kind, data)
+        graph.omega[:] = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                                      st.floats(-5.0, 5.0)),
+                                            min_size=n, max_size=n))
+        assert rk4_step(graph) == rk4_oracle(graph)
+        # == cannot see the sign of a zero term, so the cached terms are
+        # compared by bits against terms taken afresh.
+        theta = graph.theta
+        fresh = [w * math.sin(theta[v] - theta[u]) for u, v, w in graph.edges]
+        assert _bits(p for _, _, p in graph.coupling_terms()) == _bits(fresh)
+
+
+def _graph_of_size(n: int) -> OscillatorGraph:
+    """n isolated vertices whose canonical order is not their id order."""
+    graph = OscillatorGraph()
+    for k in range(n):
+        graph._add_vertex(ButterflyKey.make(f"a{(7 * k) % 10}", f"b{k}", f"x{k}", f"y{k}"))
+    return graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.tuples(
+    st.integers(0, 9), st.one_of(st.sampled_from([1.0, 0.0, 0.5, 2.75, -1.5]),
+                                 st.floats(-10.0, 10.0))), max_size=8))
+def test_assign_phases_pairs_match_gauss_loop(seed, calls):
+    paired, looped = random.Random(seed), random.Random(seed)
+    for n, sigma in calls:
+        graph, expected = _graph_of_size(n), _graph_of_size(n)
+        assign_phases(graph, paired, sigma)
+        for v in expected.order:
+            expected.omega[v] = looped.gauss(0.0, sigma)
+        assert list(map(repr, graph.omega)) == list(map(repr, expected.omega))
+        assert paired.getstate() == looped.getstate()
 
 
 # Field text: numbers, words, empty strings and delimiter-free junk, padded
