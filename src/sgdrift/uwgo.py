@@ -59,8 +59,9 @@ class OscillatorGraph:
 
     The graph also keeps a coupling-term table for ``rk4_step``'s first
     stage, refreshed by ``coupling_terms``. It relies on vertices and edges
-    being append-only and on nothing else: it does not hook ``_add_edge``,
-    so callers may rewrite ``theta`` entries directly.
+    being append-only and on nothing else: it does not hook ``_add_edge``
+    but notices a rewritten phase by its float object's identity, so
+    callers may rewrite ``theta`` entries directly.
     """
 
     def __init__(self) -> None:
