@@ -130,7 +130,8 @@ def build_parser() -> _Parser:
                     help="run the timing protocol with this many executions")
     ev.add_argument("--batches", type=int, default=10)
     ev.add_argument("--input", help="stream file (timing protocol)")
-    ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp")
+    ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp",
+                    help="detector that --repeat re-runs; offline --signals ignores it")
     ev.add_argument("--delimiter", type=_delimiter, default=",")
     _add_detector_args(ev)
     return parser
@@ -203,13 +204,10 @@ def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
         if record is None:
             continue
         t += 1
-        if sgdp_state is not None:
-            for signal in sgdp_step(sgdp_state, record.tau):
-                emit(signal)
-        if sgdd_state is not None:
-            signal = sgdd_step(sgdd_state, record)
-            if signal is not None:
-                emit(signal)
+        if sgdp_state is not None and (signal := sgdp_step(sgdp_state, record.tau)):
+            emit(signal)
+        if sgdd_state is not None and (signal := sgdd_step(sgdd_state, record)):
+            emit(signal)
         if on_record is not None:
             on_record(record)
 

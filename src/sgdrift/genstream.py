@@ -184,9 +184,8 @@ class _Emitter:
 
     def _attach_edge(self) -> tuple[str, str]:
         i = self._fresh_i()
-        js = list(self.recent.i_of_j)
-        if js and self.rng.random() < 0.5:
-            return (i, self.rng.choice(js))
+        if self.recent.i_of_j and self.rng.random() < 0.5:
+            return (i, self.rng.choice(list(self.recent.i_of_j)))
         return (i, self._fresh_j())
 
     def run(self, sink) -> GroundTruth:
@@ -251,7 +250,12 @@ def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
 
 
 def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
-    """Read a truth file; a bad line or non-increasing index is a ``ValueError``."""
+    """Read a truth file; a bad line or non-increasing index is a ``ValueError``.
+
+    An empty ``delimiter`` is a ``ValueError`` raised before the file opens.
+    """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
     indices: list[int] = []
     timestamps: list[int] = []
     with open(path, encoding="utf-8") as handle:

@@ -145,18 +145,12 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
         o2_value = state.o2[-1] if state.o2 else 0.0
     state.o1.append(o1_value)
     state.o2.append(o2_value)
-    signal = cdc_butterfly(state.profile.average, state.profile.maximum,
-                           state.o1, state.o2, state.t, len(state.o1),
-                           state.drift_windows, state.config.variant)
-    return signal
+    return cdc_butterfly(state.profile.average, state.profile.maximum,
+                         state.o1, state.o2, state.t, len(state.o1),
+                         state.drift_windows, state.config.variant)
 
 
 def run_sgdd(records, config: SgddConfig | None = None) -> list[DriftSignal]:
     """Run the detector over an iterable of records."""
     state = SgddState(config=config or SgddConfig())
-    out: list[DriftSignal] = []
-    for r in records:
-        signal = sgdd_step(state, r)
-        if signal is not None:
-            out.append(signal)
-    return out
+    return [s for r in records if (s := sgdd_step(state, r)) is not None]

@@ -9,9 +9,8 @@ preceding values sit strictly above or strictly below the current average,
 where "enough" is the dynamic threshold ceil(S * f).
 
 A gate keeps signals apart: a window may only be checked when its distance
-from the last signalled window exceeds the current average burst size. The
-gate is re-read before each threshold factor, so one window emits at most
-one signal even with the full factor schedule.
+from the last signalled window exceeds the current average burst size.
+Each window emits at most one signal, from the first factor that fires.
 """
 
 from __future__ import annotations
@@ -132,35 +131,31 @@ def cds_bursts(maximum: float, average: float, series: Sequence[float], window: 
     return None
 
 
-def sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
+def sgdp_step(state: SgdpState, tau: int) -> DriftSignal | None:
     """Advance the predictor by one record, identified by its timestamp only.
 
-    On a burst boundary the updated average is appended to the series, then
-    each threshold factor runs the drift check provided the window gate
-    W - last_signal_window > average holds. The gate is re-read after each
-    factor so a signal blocks the remaining factors for this window.
+    Returns None unless the record starts a window. A window start appends
+    the updated average to the series; if the gate W - last_signal_window >
+    average holds, the threshold factors then run the drift check in
+    schedule order and the first signal is returned.
     """
     state.t += 1
     if not ingest_timestamp(state.profile, tau):
-        return []
+        return None
     profile = state.profile
     state.series.append(profile.average)
     window = len(state.series)
-    fired: list[DriftSignal] = []
+    if window - state.drift_windows[-1] <= profile.average:
+        return None
     for f in state.config.f_schedule:
-        if window - state.drift_windows[-1] > profile.average:
-            signal = cds_bursts(profile.maximum, profile.average,
-                                state.series, window, state.t,
-                                state.drift_windows, f, state.config.variant)
-            if signal is not None:
-                fired.append(signal)
-    return fired
+        signal = cds_bursts(profile.maximum, profile.average, state.series, window,
+                            state.t, state.drift_windows, f, state.config.variant)
+        if signal is not None:
+            return signal
+    return None
 
 
 def run_sgdp(taus, config: SgdpConfig | None = None) -> list[DriftSignal]:
     """Run the predictor over an iterable of timestamps."""
     state = SgdpState(config=config or SgdpConfig())
-    out: list[DriftSignal] = []
-    for tau in taus:
-        out.extend(sgdp_step(state, tau))
-    return out
+    return [s for tau in taus if (s := sgdp_step(state, tau)) is not None]

@@ -9,7 +9,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
-from sgdrift.stream_model import SGR, SgrParseError, parse_sgr
+from sgdrift.sgdp import SgdpState, cds_bursts
+from sgdrift.signals import DriftSignal
+from sgdrift.stream_model import SGR, SgrParseError, ingest_timestamp, parse_sgr
 from sgdrift.uwgo import STEP, OscillatorGraph
 
 # Worked-example window: solid edges form eight butterflies connected
@@ -327,3 +329,30 @@ def reference_parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
     except ValueError:
         raise SgrParseError(f"field 4 (tau) is not an integer: {tau_s!r}") from None
     return SGR(i, j, omega, tau, t)
+
+
+# --- predictor oracle ------------------------------------------------------------
+
+def reference_sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
+    """The predictor step that collects every signal of a window in a list.
+
+    The window gate W - last_signal_window > average is re-read before each
+    threshold factor, and every factor that fires adds its signal.
+    ``sgdp_step``, which reads the gate once and returns the first signal,
+    must give this list's only element, or None where the list is empty.
+    """
+    state.t += 1
+    if not ingest_timestamp(state.profile, tau):
+        return []
+    profile = state.profile
+    state.series.append(profile.average)
+    window = len(state.series)
+    fired: list[DriftSignal] = []
+    for f in state.config.f_schedule:
+        if window - state.drift_windows[-1] > profile.average:
+            signal = cds_bursts(profile.maximum, profile.average,
+                                state.series, window, state.t,
+                                state.drift_windows, f, state.config.variant)
+            if signal is not None:
+                fired.append(signal)
+    return fired

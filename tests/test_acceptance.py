@@ -15,7 +15,7 @@ from sgdrift.butterfly import enumerate_young
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
 from sgdrift.harness import repeated_timing
 from sgdrift.sgdd import SgddConfig, SgddState, cdc_butterfly, sgdd_step
-from sgdrift.sgdp import SgdpState, cds_bursts, sgdp_step
+from sgdrift.sgdp import SgdpState, cds_bursts, run_sgdp, sgdp_step
 from sgdrift.stream_model import SGR
 from sgdrift.uwgo import (OscillatorGraph, TWO_PI, assign_phases,
                           order_parameter, project, rk4_step)
@@ -50,7 +50,9 @@ def _run_sgdp_with_walls(records, cd_indices):
     cd_wall = [None] * len(cd_indices)
     lookup = {c: k for k, c in enumerate(cd_indices)}
     for r in records:
-        signals.extend(sgdp_step(state, r.tau))
+        signal = sgdp_step(state, r.tau)
+        if signal is not None:
+            signals.append(signal)
         if r.t in lookup:
             cd_wall[lookup[r.t]] = time.time() * 1000.0
     return signals, cd_wall
@@ -178,11 +180,7 @@ def test_acceptance_payload_freedom():
                     for r, p in zip(records, permutation)]
 
         def run(stream):
-            state = SgdpState()
-            out = []
-            for r in stream:
-                out.extend(sgdp_step(state, r.tau))
-            return [s.fingerprint() for s in out]
+            return [s.fingerprint() for s in run_sgdp(r.tau for r in stream)]
 
         assert run(records) == run(permuted)
 
@@ -216,10 +214,7 @@ def test_acceptance_desk_scale():
     schedule = DriftSchedule.make("gradual", 10_000)
     records, truth = generate(config, schedule, 50_000)
     assert truth.cd_indices == (1000, 20_000, 30_000, 40_000)
-    state = SgdpState()
-    signals = []
-    for r in records:
-        signals.extend(sgdp_step(state, r.tau))
+    signals = run_sgdp(r.tau for r in records)
     ts = [s.t for s in signals]
     covered = 0
     for c in truth.cd_indices[1:]:
@@ -280,9 +275,6 @@ def test_acceptance_gate_invariants():
     # same invariants on the desk-scale predictor run
     config = GeneratorConfig(seed=7)
     records, _ = generate(config, DriftSchedule.make("gradual", 10_000), 50_000)
-    state = SgdpState()
-    signals = []
-    for r in records:
-        signals.extend(sgdp_step(state, r.tau))
+    signals = run_sgdp(r.tau for r in records)
     for earlier, later in zip(signals, signals[1:]):
         assert later.window - earlier.window > later.params["average"]

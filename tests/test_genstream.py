@@ -7,7 +7,7 @@ from sgdrift.butterfly import BipartiteWindow, enumerate_young
 from sgdrift.genstream import (BASE_PARAMS, DriftSchedule, GeneratorConfig,
                                format_sgr, generate, generate_to_files,
                                read_ground_truth)
-from sgdrift.stream_model import parse_sgr
+from sgdrift.stream_model import SgrParseError, parse_sgr
 
 
 # --- schedules -------------------------------------------------------------------
@@ -178,3 +178,16 @@ def test_malformed_truth_line_names_its_number(tmp_path, bad):
     path.write_text(f"300,58\n\n{bad}\n")
     with pytest.raises(ValueError, match=r"^truth line 3: expected index,tau "):
         read_ground_truth(path)
+
+
+def test_empty_delimiter_is_a_plain_value_error(tmp_path):
+    # The truth reader rejects it before it opens the file, so a missing
+    # path still reports the delimiter.
+    with pytest.raises(ValueError, match=r"^delimiter must not be empty$"):
+        read_ground_truth(tmp_path / "missing.truth", "")
+    # The record parser checks no delimiter per record; str.split's own
+    # error is a ValueError but no SgrParseError, so --on-error skip, which
+    # skips only SgrParseError, can never swallow it.
+    with pytest.raises(ValueError) as info:
+        parse_sgr("a,b,1.0,1", 1, "")
+    assert not isinstance(info.value, SgrParseError)

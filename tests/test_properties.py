@@ -13,7 +13,9 @@ RK4 kernel is checked for equality against the per-vertex one, also on a
 graph that grows and has its phases rewritten between steps; there its
 cached first-stage terms must match terms taken afresh bit for bit.
 Paired frequency draws are checked against one ``Random.gauss`` call per
-vertex.
+vertex. sgdp's step, which reads its window gate once and returns at most
+one signal, is checked against a step that re-reads the gate before every
+threshold factor and collects every signal in a list.
 """
 
 import math
@@ -23,10 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (ReferenceProfile, brute_force_butterflies, reference_ingest,
-                     reference_parse_sgr, reference_young, rk4_oracle)
+                     reference_parse_sgr, reference_sgdp_step, reference_young,
+                     rk4_oracle)
 from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
                                young_timestamps)
 from sgdrift.sgdd import SgddConfig, SgddState, sgdd_step
+from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
+                          SgdpState, sgdp_step)
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
 from sgdrift.uwgo import (TWO_PI, OscillatorGraph, assign_phases, butterfly_ident,
@@ -69,6 +74,29 @@ def test_young_matches_first_seen_suffix(runs, x, candidates):
         assert young_timestamps(profile.seen, x, profile.seen) == expected
         # Candidates include unseen timestamps, which are never young.
         assert young_timestamps(profile.seen, x, candidates) == expected & set(candidates)
+
+
+# Longer streams of bursts of changing size, so that the average moves
+# and the predictor signals, blocks and signals again.
+long_bursts = st.lists(st.tuples(st.integers(-20, 150), st.integers(1, 8)),
+                       min_size=30, max_size=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_bursts)
+def test_sgdp_step_matches_list_reference(runs):
+    taus = _expand(runs)
+    for schedule in (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE):
+        for variant in VARIANTS:
+            config = SgdpConfig(schedule, variant)
+            state, reference = SgdpState(config=config), SgdpState(config=config)
+            for tau in taus:
+                signal = sgdp_step(state, tau)
+                expected = reference_sgdp_step(reference, tau)
+                assert len(expected) <= 1
+                got = [] if signal is None else [signal.fingerprint()]
+                assert got == [s.fingerprint() for s in expected]
+            assert state.drift_windows == reference.drift_windows
 
 
 # Window records drawn from few vertices and timestamps, so that (i, j) pairs

@@ -130,8 +130,8 @@ def test_unit_bursts_keep_average_flat_and_silent():
 
 def test_two_records_never_reach_window_logic():
     state = SgdpState()
-    assert sgdp_step(state, 1) == []
-    assert sgdp_step(state, 2) == []
+    assert sgdp_step(state, 1) is None
+    assert sgdp_step(state, 2) is None
     assert len(state.series) == 0
 
 
@@ -144,7 +144,9 @@ def test_pair_bursts_average_rises_toward_two():
     state = SgdpState()
     signals = []
     for tau in taus:
-        signals.extend(sgdp_step(state, tau))
+        signal = sgdp_step(state, tau)
+        if signal is not None:
+            signals.append(signal)
     expected = [(2 * k + 5) / (k + 3) for k in range(len(state.series))]
     assert state.series == pytest.approx(expected)
     assert signals, "a strictly rising average series must trip the count check"
