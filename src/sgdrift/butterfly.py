@@ -25,14 +25,6 @@ class ButterflyKey(NamedTuple):
     j_lo: str
     j_hi: str
 
-    @classmethod
-    def make(cls, i1: str, i2: str, j1: str, j2: str) -> "ButterflyKey":
-        if i1 == i2 or j1 == j2:
-            raise ValueError("butterfly vertices must be distinct within a partition")
-        i_lo, i_hi = (i1, i2) if i1 < i2 else (i2, i1)
-        j_lo, j_hi = (j1, j2) if j1 < j2 else (j2, j1)
-        return cls(i_lo, i_hi, j_lo, j_hi)
-
     @property
     def j_vertices(self) -> tuple[str, str]:
         return (self.j_lo, self.j_hi)
@@ -51,17 +43,10 @@ class BipartiteWindow:
         self.j_last_tau: dict[str, int] = {}
         self._i_of_j: dict[str, set[str]] = {}
 
-    def __len__(self) -> int:
-        return sum(map(len, self._i_of_j.values()))
-
-    def add(self, i: str, j: str, tau: int) -> bool:
-        """Record one arriving edge; returns True when the pair is new."""
+    def add(self, i: str, j: str, tau: int) -> None:
+        """Record one arriving edge."""
         self.j_last_tau[j] = tau
-        neighbors = self._i_of_j.setdefault(j, set())
-        if i in neighbors:
-            return False
-        neighbors.add(i)
-        return True
+        self._i_of_j.setdefault(j, set()).add(i)
 
     def i_neighbors(self, j: str) -> set[str]:
         return self._i_of_j.get(j, set())
@@ -94,8 +79,9 @@ def enumerate_young(window: BipartiteWindow, young: set[int]) -> list[ButterflyK
 
     For each pair of young j-vertices, the common i-neighbourhood is
     intersected and every i-pair inside it yields one key. Both pairs come
-    from sorted, distinct lists, so each key is canonical as built. The
-    output is sorted and duplicate-free by construction.
+    from sorted, distinct lists, so each key is canonical as built and no
+    key is built twice. Keys are built in j-pair order; the final sort puts
+    them in canonical (i-pair first) order.
     """
     young_js = sorted(j for j, tau in window.j_last_tau.items() if tau in young)
     found: list[ButterflyKey] = []

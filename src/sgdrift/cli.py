@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -214,6 +215,9 @@ def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
 
 def _cmd_detect(args) -> int:
     configs = _detector_configs(args)
+    if ("-" not in (args.input, args.out) and os.path.exists(args.out)
+            and os.path.samefile(args.input, args.out)):
+        raise UsageError("--out names the --input file, which it would truncate unread")
     # The input opens first, so a missing one leaves an existing --out untouched.
     with (nullcontext(sys.stdin) if args.input == "-"
           else open(args.input, encoding="utf-8")) as source, \

@@ -78,8 +78,6 @@ class DriftSchedule:
     recurring pattern at 2 and 3 (raised, then back to base).
     """
 
-    pattern: str
-    delta_r: int
     changes: tuple[tuple[int, tuple[float, int, int]], ...]
 
     @classmethod
@@ -91,8 +89,7 @@ class DriftSchedule:
         plateaus = [RAISED_PARAMS, BASE_PARAMS, RAISED_PARAMS]
         if pattern == "recurring":
             plateaus.pop()
-        return cls(pattern, delta_r,
-                   tuple((k * delta_r, p) for k, p in enumerate(plateaus, start=2)))
+        return cls(tuple((k * delta_r, p) for k, p in enumerate(plateaus, start=2)))
 
 
 @dataclass(frozen=True)

@@ -73,23 +73,25 @@ def sprime_length(s: int, d: int) -> int:
     return max(1, -(-s // d))
 
 
-def cdc_butterfly(average: float, maximum: float, o1: list[float], o2: list[float],
-                  t: int, window: int, drift_windows: list[int],
+def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[float],
+                  t: int, drift_windows: list[int],
                   variant: str = "default") -> DriftSignal | None:
     """Drift check over the coherence series for the current window.
 
-    ``o1``/``o2`` are indexed by window (element 0 belongs to window 1);
-    the values at window W are the comparison anchors and the suffixes are
-    drawn from the windows before W. Fewer than S preceding windows is
-    insufficient evidence, not an error. On a signal the window is
-    appended to the drift log, which tightens C1 (the precision exponent
-    is d+2) for later checks.
+    ``o1``/``o2`` hold one value per closed window (element 0 belongs to
+    window 1), so the current window W is ``len(o1)``; the values at W are
+    the comparison anchors and the suffixes are drawn from the windows
+    before W. Fewer than S preceding windows is insufficient evidence, not
+    an error. On a signal the window is appended to the drift log, which
+    tightens C1 (the precision exponent is d+2) for later checks.
     """
+    window = len(o1)
     d = len(drift_windows)
     s = suffix_size(maximum, average, d, variant)
     sprime = sprime_length(s, d)
     prior = window - 1
-    if min(prior, len(o2)) < s or min(prior, len(o1)) < sprime:
+    # S' <= S, so enough O2 history is enough O1 history too.
+    if prior < s:
         return None
     current_o1 = o1[prior]
     current_o2 = o2[prior]
@@ -145,9 +147,9 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
         o2_value = state.o2[-1] if state.o2 else 0.0
     state.o1.append(o1_value)
     state.o2.append(o2_value)
-    return cdc_butterfly(state.profile.average, state.profile.maximum,
-                         state.o1, state.o2, state.t, len(state.o1),
-                         state.drift_windows, state.config.variant)
+    return cdc_butterfly(state.profile.maximum, state.profile.average,
+                         state.o1, state.o2, state.t, state.drift_windows,
+                         state.config.variant)
 
 
 def run_sgdd(records, config: SgddConfig | None = None) -> list[DriftSignal]:

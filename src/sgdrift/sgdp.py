@@ -100,22 +100,24 @@ class SgdpState:
     t: int = 0
 
 
-def cds_bursts(maximum: float, average: float, series: Sequence[float], window: int,
-               t: int, drift_windows: list[int], f: float,
-               variant: str = "default") -> DriftSignal | None:
+def cds_bursts(maximum: float, series: Sequence[float], t: int, drift_windows: list[int],
+               f: float, variant: str = "default") -> DriftSignal | None:
     """Drift check over the burst-size series for one threshold factor.
 
-    The series' newest element is the current average, appended by the
-    caller just before the check; the examined suffix is the S values that
-    precede it. Counts how many suffix elements are strictly greater and
-    strictly less than the current average (ties count toward neither). If
-    either count reaches ceil(S * f) a signal is emitted and the window is
-    appended to the drift log. Fewer than S preceding values is
-    insufficient evidence, not an error.
+    The series holds one average per window, so its length is the current
+    window's index and its newest element, appended by the caller just
+    before the check, is the current average; the examined suffix is the S
+    values that precede it. Counts how many suffix elements are strictly
+    greater and strictly less than the current average (ties count toward
+    neither). If either count reaches ceil(S * f) a signal is emitted and
+    the window is appended to the drift log. Fewer than S preceding values
+    is insufficient evidence, not an error.
     """
+    average = series[-1]
+    window = len(series)
     d = len(drift_windows)
     s = suffix_size(maximum, average, d, variant)
-    if len(series) - 1 < s:
+    if window - 1 < s:
         return None
     suffix = series[-s - 1:-1]
     greater = sum(1 for x in suffix if x > average)
@@ -144,12 +146,11 @@ def sgdp_step(state: SgdpState, tau: int) -> DriftSignal | None:
         return None
     profile = state.profile
     state.series.append(profile.average)
-    window = len(state.series)
-    if window - state.drift_windows[-1] <= profile.average:
+    if len(state.series) - state.drift_windows[-1] <= profile.average:
         return None
     for f in state.config.f_schedule:
-        signal = cds_bursts(profile.maximum, profile.average, state.series, window,
-                            state.t, state.drift_windows, f, state.config.variant)
+        signal = cds_bursts(profile.maximum, state.series, state.t, state.drift_windows,
+                            f, state.config.variant)
         if signal is not None:
             return signal
     return None

@@ -140,8 +140,7 @@ class OscillatorGraph:
         return terms
 
 
-def project(window: BipartiteWindow, graph: OscillatorGraph,
-            young: set[int]) -> list[ButterflyKey]:
+def project(window: BipartiteWindow, graph: OscillatorGraph, young: set[int]) -> None:
     """Fold a closed window's young butterflies into the oscillator graph.
 
     Butterflies are processed in canonical enumeration order. For each one,
@@ -152,8 +151,7 @@ def project(window: BipartiteWindow, graph: OscillatorGraph,
     identical key maps to its existing vertex. The window is discarded
     entirely afterwards (tumbling).
     """
-    keys = enumerate_young(window, young)
-    for key in keys:
+    for key in enumerate_young(window, young):
         # Every vertex is linked to all sharers when it is inserted, so a
         # re-derived key has no unlinked sharer and adds nothing.
         if key in graph.vertices:
@@ -168,7 +166,6 @@ def project(window: BipartiteWindow, graph: OscillatorGraph,
         for u in sorted(sharers, key=graph.keys.__getitem__):
             graph._add_edge(v, u, size)
     window.clear()
-    return keys
 
 
 def assign_phases(graph: OscillatorGraph, rng: random.Random,

@@ -32,15 +32,21 @@ FIG5_DOTTED = [("i13", "j7"), ("i07", "j3"), ("i02", "j0"), ("i03", "j0")]
 FIG5_STALE_TAU = 1
 FIG5_YOUNG_TAU = 2
 
+
+def butterfly_key(i1: str, i2: str, j1: str, j2: str) -> ButterflyKey:
+    """The canonical key of the butterfly {i1, i2} x {j1, j2}: each pair sorted."""
+    return ButterflyKey(*sorted((i1, i2)), *sorted((j1, j2)))
+
+
 FIG5_BUTTERFLIES = [
-    ButterflyKey.make("i02", "i03", "j1", "j2"),
-    ButterflyKey.make("i02", "i04", "j1", "j2"),
-    ButterflyKey.make("i03", "i04", "j1", "j2"),
-    ButterflyKey.make("i05", "i06", "j2", "j3"),
-    ButterflyKey.make("i07", "i08", "j4", "j5"),
-    ButterflyKey.make("i09", "i10", "j5", "j6"),
-    ButterflyKey.make("i11", "i12", "j6", "j7"),
-    ButterflyKey.make("i13", "i14", "j8", "j9"),
+    butterfly_key("i02", "i03", "j1", "j2"),
+    butterfly_key("i02", "i04", "j1", "j2"),
+    butterfly_key("i03", "i04", "j1", "j2"),
+    butterfly_key("i05", "i06", "j2", "j3"),
+    butterfly_key("i07", "i08", "j4", "j5"),
+    butterfly_key("i09", "i10", "j5", "j6"),
+    butterfly_key("i11", "i12", "j6", "j7"),
+    butterfly_key("i13", "i14", "j8", "j9"),
 ]
 
 # Expected projection: (v index pair, weight) per the worked example.
@@ -82,7 +88,7 @@ def brute_force_butterflies(edges: set[tuple[str, str]],
                 continue
             if ((i1, j1) in edges and (i1, j2) in edges
                     and (i2, j1) in edges and (i2, j2) in edges):
-                found.append(ButterflyKey.make(i1, i2, j1, j2))
+                found.append(butterfly_key(i1, i2, j1, j2))
     found.sort()
     return found
 
@@ -112,7 +118,7 @@ def weighted_graph(weights: list[list[int]]) -> OscillatorGraph:
     graph = OscillatorGraph()
     n = len(weights)
     for k in range(n):
-        graph._add_vertex(ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
+        graph._add_vertex(butterfly_key(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
     for a in range(n):
         for b in range(a + 1, n):
             if weights[a][b]:
@@ -346,12 +352,10 @@ def reference_sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
         return []
     profile = state.profile
     state.series.append(profile.average)
-    window = len(state.series)
     fired: list[DriftSignal] = []
     for f in state.config.f_schedule:
-        if window - state.drift_windows[-1] > profile.average:
-            signal = cds_bursts(profile.maximum, profile.average,
-                                state.series, window, state.t,
+        if len(state.series) - state.drift_windows[-1] > profile.average:
+            signal = cds_bursts(profile.maximum, state.series, state.t,
                                 state.drift_windows, f, state.config.variant)
             if signal is not None:
                 fired.append(signal)

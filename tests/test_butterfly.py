@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import (FIG5_BUTTERFLIES, brute_force_butterflies, fig5_window,
+from helpers import (FIG5_BUTTERFLIES, brute_force_butterflies, butterfly_key, fig5_window,
                      first_seen_ranks, random_bipartite_window, window_edges)
 from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
                                young_timestamps)
@@ -11,17 +11,12 @@ from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
 # --- canonical keys ------------------------------------------------------------
 
 def test_key_canonical_form():
-    k1 = ButterflyKey.make("b", "a", "y", "x")
-    k2 = ButterflyKey.make("a", "b", "x", "y")
-    assert k1 == k2
-    assert (k1.i_lo, k1.i_hi, k1.j_lo, k1.j_hi) == ("a", "b", "x", "y")
-
-
-def test_key_rejects_degenerate_vertices():
-    with pytest.raises(ValueError):
-        ButterflyKey.make("a", "a", "x", "y")
-    with pytest.raises(ValueError):
-        ButterflyKey.make("a", "b", "x", "x")
+    window = BipartiteWindow()
+    for i, j in (("b", "y"), ("b", "x"), ("a", "y"), ("a", "x")):
+        window.add(i, j, 1)
+    [key] = enumerate_young(window, {1})
+    assert key == butterfly_key("b", "a", "y", "x")
+    assert (key.i_lo, key.i_hi, key.j_lo, key.j_hi) == ("a", "b", "x", "y")
 
 
 # --- youth suffix ---------------------------------------------------------------
@@ -66,16 +61,18 @@ def test_young_tests_only_the_candidates():
 
 def test_window_deduplicates_edges_but_tracks_touches():
     window = BipartiteWindow()
-    assert window.add("a", "x", 1)
-    assert not window.add("a", "x", 9)  # repeated payload, still a touch
+    assert window_edges(window) == set()
+    window.add("a", "x", 1)
+    assert window_edges(window) == {("a", "x")}
+    window.add("a", "x", 9)  # repeated payload, still a touch
+    assert window_edges(window) == {("a", "x")}
     assert window.j_last_tau["x"] == 9
-    assert len(window) == 1
 
 
 def test_window_clear_is_total():
     window, young = fig5_window()
     window.clear()
-    assert len(window) == 0 and not window.j_last_tau
+    assert window_edges(window) == set() and not window.j_last_tau
     assert enumerate_young(window, young) == []
 
 

@@ -236,6 +236,15 @@ def test_detect_missing_input_leaves_existing_output(tmp_path, capsys):
     assert out_file.read_text() == "earlier signals\n"
 
 
+def test_detect_out_naming_the_input_is_usage_error(tmp_path, capsys):
+    stream, _ = generate_small(tmp_path)
+    before = stream.read_bytes()
+    assert main(["detect", "--mode", "sgdp", "--input", str(stream),
+                 "--out", str(tmp_path / "." / stream.name)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert stream.read_bytes() == before
+
+
 def test_detect_malformed_line_aborts_with_line_number(tmp_path, capsys):
     stream = tmp_path / "bad.stream"
     stream.write_text("u1,v1,1.0,1\nnot a record\n")

@@ -24,11 +24,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ReferenceProfile, brute_force_butterflies, reference_ingest,
-                     reference_parse_sgr, reference_sgdp_step, reference_young,
-                     rk4_oracle)
-from sgdrift.butterfly import (BipartiteWindow, ButterflyKey, enumerate_young,
-                               young_timestamps)
+from helpers import (ReferenceProfile, brute_force_butterflies, butterfly_key,
+                     reference_ingest, reference_parse_sgr, reference_sgdp_step,
+                     reference_young, rk4_oracle, window_edges)
+from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
 from sgdrift.sgdd import SgddConfig, SgddState, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
                           SgdpState, sgdp_step)
@@ -113,10 +112,10 @@ def test_window_matches_edge_set_reference(records, young):
     last_tau: dict[str, int] = {}
     for a, b, tau in records:
         i, j = f"i{a}", f"j{b}"
-        assert window.add(i, j, tau) == ((i, j) not in edges)
+        window.add(i, j, tau)
         edges.add((i, j))
         last_tau[j] = tau
-        assert len(window) == len(edges)
+        assert window_edges(window) == edges
         assert window.j_last_tau == last_tau
         for k in range(5):
             assert window.i_neighbors(f"j{k}") == {u for u, v in edges if v == f"j{k}"}
@@ -183,7 +182,7 @@ def oscillator_graphs(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     graph = OscillatorGraph()
     for k in range(n):
-        graph._add_vertex(ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
+        graph._add_vertex(butterfly_key(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
     for a, b in chosen:
         u, v = (b, a) if draw(st.booleans()) else (a, b)
         graph._add_edge(u, v, draw(st.integers(1, 60)))
@@ -232,7 +231,7 @@ def test_rk4_coupling_table_follows_growth_and_phase_rewrites(data):
     for _ in range(data.draw(st.integers(1, 6))):
         for _ in range(data.draw(st.integers(0 if len(graph) else 1, 3))):
             k = len(graph)
-            graph._add_vertex(ButterflyKey.make(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
+            graph._add_vertex(butterfly_key(f"a{k}", f"b{k}", f"x{k}", f"y{k}"))
         n = len(graph)
         free = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in linked]
         if free:
@@ -258,7 +257,7 @@ def _graph_of_size(n: int) -> OscillatorGraph:
     """n isolated vertices whose canonical order is not their id order."""
     graph = OscillatorGraph()
     for k in range(n):
-        graph._add_vertex(ButterflyKey.make(f"a{(7 * k) % 10}", f"b{k}", f"x{k}", f"y{k}"))
+        graph._add_vertex(butterfly_key(f"a{(7 * k) % 10}", f"b{k}", f"x{k}", f"y{k}"))
     return graph
 
 

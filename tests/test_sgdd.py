@@ -52,8 +52,7 @@ def test_cdc_blocked_by_window_spacing():
     o1 = _series(12, 0.4)
     o2 = [0.9] * 11 + [0.1]
     # identical evidence, but the last signal is too recent
-    assert cdc_butterfly(10, 100, o1, o2, t=100, window=12,
-                         drift_windows=[7]) is None
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[7]) is None
 
 
 def test_cdc_constructed_satisfaction():
@@ -62,7 +61,7 @@ def test_cdc_constructed_satisfaction():
     o1 = _series(11, 0.4)
     o2 = [0.9] * 10 + [0.1]
     drift = [0]
-    signal = cdc_butterfly(10, 100, o1, o2, t=100, window=11, drift_windows=drift)
+    signal = cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=drift)
     assert signal is not None
     assert signal.params["S"] == 2 and signal.params["S_prime"] == 2
     assert signal.params["alpha"] == 3 and signal.params["more"] == 2
@@ -72,20 +71,17 @@ def test_cdc_constructed_satisfaction():
 def test_cdc_requires_steady_o1():
     o1 = [0.4] * 10 + [0.6]  # current O1 far from the suffix mean
     o2 = [0.9] * 10 + [0.1]
-    assert cdc_butterfly(10, 100, o1, o2, t=100, window=11,
-                         drift_windows=[0]) is None
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0]) is None
 
 
 def test_cdc_requires_extremum_in_o2():
     o1 = _series(11, 0.4)
     o2 = [0.1, 0.9] * 5 + [0.5]  # mixed suffix, neither count reaches S'
-    assert cdc_butterfly(10, 100, o1, o2, t=100, window=11,
-                         drift_windows=[0]) is None
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0]) is None
 
 
 def test_cdc_insufficient_series_is_quiet():
-    assert cdc_butterfly(10, 100, [0.4], [0.5], t=5, window=1,
-                         drift_windows=[0]) is None
+    assert cdc_butterfly(100, 10, [0.4], [0.5], t=5, drift_windows=[0]) is None
 
 
 def test_cdc_precision_tightens_with_detections():
@@ -93,15 +89,12 @@ def test_cdc_precision_tightens_with_detections():
     # (1e-3) but fails at d=2 (1e-4); a 5e-5 wobble passes again.
     o1 = [0.4] * 10 + [0.4 + 5e-4]
     o2 = [0.9] * 10 + [0.1]
-    assert cdc_butterfly(10, 100, o1, o2, t=100, window=11,
-                         drift_windows=[0]) is not None
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0]) is not None
     o1 = [0.4] * 30 + [0.4 + 5e-4]
     o2 = [0.9] * 30 + [0.1]
-    assert cdc_butterfly(10, 100, o1, o2, t=300, window=31,
-                         drift_windows=[0, 15]) is None
+    assert cdc_butterfly(100, 10, o1, o2, t=300, drift_windows=[0, 15]) is None
     o1 = [0.4] * 30 + [0.4 + 5e-5]
-    assert cdc_butterfly(10, 100, o1, o2, t=300, window=31,
-                         drift_windows=[0, 15]) is not None
+    assert cdc_butterfly(100, 10, o1, o2, t=300, drift_windows=[0, 15]) is not None
 
 
 def test_cdc_decisions_match_direct_count_oracle():
@@ -120,8 +113,7 @@ def test_cdc_decisions_match_direct_count_oracle():
         maximum = rng.uniform(average, 10 ** rng.randint(2, 6))
         variant = rng.choice(["default", "appendix"])
         expected = _cdc_oracle(average, maximum, o1, o2, window, list(drift), variant)
-        got = cdc_butterfly(average, maximum, o1, o2, 10 * window, window,
-                            list(drift), variant)
+        got = cdc_butterfly(maximum, average, o1, o2, 10 * window, list(drift), variant)
         assert (got is not None) == expected
 
 

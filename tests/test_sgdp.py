@@ -59,44 +59,46 @@ def test_count_threshold_exact_decimal_arithmetic():
 def test_cds_no_signal_when_series_too_short():
     # maximum=100, average=10, d=1 -> S=2; only one value precedes the
     # current element.
-    assert cds_bursts(100, 10.0, [5.0, 10.0], 4, 40, [0], 0.3) is None
+    assert cds_bursts(100, [5.0, 10.0], 40, [0], 0.3) is None
 
 
 def test_cds_all_greater_fires_at_full_threshold():
     series = [11.0, 12.0, 13.0, 10.0]  # last element is the current average
     drift = [0]
-    signal = cds_bursts(1000, 10.0, series, 5, 50, drift, 1.0)
+    signal = cds_bursts(1000, series, 50, drift, 1.0)
     assert signal is not None
     assert signal.params["S"] == 3 and signal.params["greater"] == 3
-    assert drift == [0, 5]
+    assert signal.params["average"] == 10.0
+    assert drift == [0, 4] and signal.window == 4  # the window is the series length
 
 
 def test_cds_single_hit_passes_low_factor():
     # S=3 with f=0.3 needs ceil(0.9)=1 hit
     series = [10.0, 10.0, 12.0, 10.0]
-    signal = cds_bursts(1000, 10.0, series, 7, 70, [0], 0.3)
+    signal = cds_bursts(1000, series, 70, [0], 0.3)
     assert signal is not None
     assert signal.params["greater"] == 1 and signal.params["threshold"] == 1
 
 
 def test_cds_ties_count_toward_neither():
     series = [10.0, 10.0, 10.0, 10.0]
-    assert cds_bursts(1000, 10.0, series, 7, 70, [0], 0.3) is None
+    assert cds_bursts(1000, series, 70, [0], 0.3) is None
 
 
 def test_cds_decisions_match_direct_count_oracle():
     rng = random.Random(123)
     for _ in range(300):
-        n = rng.randint(0, 25)
+        # The series always ends in the current average, which it anchors on.
+        n = rng.randint(1, 25)
         series = [round(rng.uniform(1, 30), 3) for _ in range(n)]
-        average = series[-1] if series and rng.random() < 0.8 else rng.uniform(1, 30)
+        average = series[-1]
         maximum = rng.uniform(average, 10 ** rng.randint(2, 6))
         d = rng.randint(1, 6)
         f = rng.choice(FULL_F_SCHEDULE)
         variant = rng.choice(["default", "appendix"])
         drift = list(range(d))
         expected = _cds_oracle(maximum, average, series, f, d, variant)
-        got = cds_bursts(maximum, average, series, 99, 999, drift, f, variant)
+        got = cds_bursts(maximum, series, 999, drift, f, variant)
         assert (got is not None) == expected
 
 
