@@ -18,9 +18,22 @@ detections accumulate. The raw (1-d)*S reading of S' is not offered: it is
 at most 0 for every d >= 1, so the O1 suffix would be empty, C1 could
 never hold and the detector would never signal.
 
-Windows that close while the graph is still empty carry the previous O1/O2
-values forward (0 for the first), so both series hold one value per
-closed window and their length is the window index.
+Windows that close while the graph is still empty record 0 for O1 and O2
+(the graph only grows, so every earlier window was empty too), so both
+series hold one value per closed window and their length is the window
+index.
+
+Only O2 needs the frequencies and the integration, and C3 at a later
+window depends only on its index and the last signalled window L. A check
+reads O2 no further back than S windows, and S never exceeds
+floor(log10(max(maximum, 100))). So a window W with W + that bound <= L + 10
+integrates nothing: it advances the RNG exactly as its draws would, appends
+``None`` to ``o2`` and records what rebuilding its O2 would take. Every
+other window with a non-empty graph draws and integrates. Should S outgrow
+the bound, a check that passes C3 and reaches a skipped window has that
+O2 rebuilt first (``rebuild_o2``). ``cdc_butterfly`` tests C3 before it
+reads either series. O1 is recomputed whenever the graph grew, so ``o1``
+holds a value for every window.
 """
 
 from __future__ import annotations
@@ -30,10 +43,14 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .butterfly import BipartiteWindow, young_timestamps
-from .sgdp import check_variant, suffix_size
+from .sgdp import check_variant, suffix_bound, suffix_size
 from .signals import DriftSignal, now_ms
 from .stream_model import BurstProfile, SGR, ingest
-from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_step
+from .uwgo import (OscillatorGraph, assign_phases, order_parameter, project, rk4_step,
+                  skip_frequencies)
+
+# Uniforms skipped per getrandbits call when rebuild_o2 replays the RNG.
+REPLAY_CHUNK = 1 << 12
 
 
 @dataclass
@@ -51,21 +68,33 @@ class SgddConfig:
 
 @dataclass
 class SgddState:
-    """Detector state for one stream."""
+    """Detector state for one stream.
+
+    ``o2`` holds ``None`` for a skipped window. ``skipped`` maps its index
+    in ``o2`` to ``(V, E, uniforms, gauss_next)``: the graph's vertex and
+    edge counts, the uniforms drawn since ``rng_start`` before its draws,
+    and the ``gauss_next`` value the RNG carried into them. ``rng_start``
+    is the RNG's state when the detector was created.
+    """
 
     config: SgddConfig = field(default_factory=SgddConfig)
     profile: BurstProfile = field(default_factory=BurstProfile)
     window_graph: BipartiteWindow = field(default_factory=BipartiteWindow)
     graph: OscillatorGraph = field(default_factory=OscillatorGraph)
     o1: list[float] = field(default_factory=list)
-    o2: list[float] = field(default_factory=list)
+    o2: list[float | None] = field(default_factory=list)
     drift_windows: list[int] = field(default_factory=lambda: [0])
     t: int = 0
     rng: random.Random = None  # type: ignore[assignment]
+    skipped: dict[int, tuple[int, int, int, float | None]] = field(
+        default_factory=dict, init=False)
+    uniforms: int = field(default=0, init=False)
+    rng_start: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rng is None:
             self.rng = random.Random(self.config.seed)
+        self.rng_start = self.rng.getstate()
 
 
 def sprime_length(s: int, d: int) -> int:
@@ -82,10 +111,13 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[floa
     window 1), so the current window W is ``len(o1)``; the values at W are
     the comparison anchors and the suffixes are drawn from the windows
     before W. Fewer than S preceding windows is insufficient evidence, not
-    an error. On a signal the window is appended to the drift log, which
+    an error. C3 is tested first, and the series are read only when it
+    holds. On a signal the window is appended to the drift log, which
     tightens C1 (the precision exponent is d+2) for later checks.
     """
     window = len(o1)
+    if window - drift_windows[-1] <= 10:
+        return None
     d = len(drift_windows)
     s = suffix_size(maximum, average, d, variant)
     sprime = sprime_length(s, d)
@@ -102,8 +134,7 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[floa
     extremum = less >= sprime or more >= sprime
     mu1 = fmean(o1[prior - sprime:prior])
     steady = abs(mu1 - current_o1) < 10.0 ** (-alpha)
-    spaced = window - drift_windows[-1] > 10
-    if extremum and steady and spaced:
+    if extremum and steady:
         drift_windows.append(window)
         return DriftSignal(
             mode="sgdd", t=t, window=window, wall_ms=now_ms(),
@@ -111,6 +142,27 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[floa
                     "more": more, "less": less, "O1": current_o1, "O2": current_o2},
         )
     return None
+
+
+def rebuild_o2(state: SgddState, index: int) -> float:
+    """Compute the O2 of a skipped window, store it at ``state.o2[index]`` and return it.
+
+    The graph as it stood then is ``graph.prefix(V, E)``. Its frequencies
+    are drawn from a fresh RNG set to ``rng_start`` and advanced past the
+    uniforms drawn before that window, carrying the same ``gauss_next``, so
+    every draw, and with it the value, is the one the window would have made.
+    """
+    n, m, uniforms, carried = state.skipped.pop(index)
+    past = state.graph.prefix(n, m)
+    rng = random.Random()
+    rng.setstate(state.rng_start)
+    for done in range(0, uniforms, REPLAY_CHUNK):
+        rng.getrandbits(64 * min(REPLAY_CHUNK, uniforms - done))
+    rng.gauss_next = carried
+    assign_phases(past, rng, state.config.sigma)
+    delta = rk4_step(past)
+    state.o2[index] = value = order_parameter([delta[v] for v in past.order])
+    return value
 
 
 def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
@@ -127,29 +179,40 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     window_graph.add(r.i, r.j, r.tau)
     if not starts_window:
         return None
-    graph = state.graph
-    young = young_timestamps(state.profile.seen, state.config.x,
+    graph, profile, o1, o2 = state.graph, state.profile, state.o1, state.o2
+    young = young_timestamps(profile.seen, state.config.x,
                              window_graph.j_last_tau.values())
     size_before = len(graph)
     project(window_graph, graph, young)
-    assign_phases(graph, state.rng, state.config.sigma)
-    if graph.vertices:
-        # Edges only arrive with new vertices and phases depend on the
-        # edges alone, so an unchanged vertex count means an unchanged O1.
-        if len(graph) != size_before:
-            o1_value = order_parameter([graph.theta[v] for v in graph.order])
-        else:
-            o1_value = state.o1[-1]
-        delta = rk4_step(graph)
-        o2_value = order_parameter([delta[v] for v in graph.order])
+    # Edges only arrive with new vertices and phases depend on the edges
+    # alone, so an unchanged vertex count means an unchanged O1.
+    if len(graph) != size_before:
+        o1.append(order_parameter([graph.theta[v] for v in graph.order]))
     else:
-        o1_value = state.o1[-1] if state.o1 else 0.0
-        o2_value = state.o2[-1] if state.o2 else 0.0
-    state.o1.append(o1_value)
-    state.o2.append(o2_value)
-    return cdc_butterfly(state.profile.maximum, state.profile.average,
-                         state.o1, state.o2, state.t, state.drift_windows,
-                         state.config.variant)
+        o1.append(o1[-1] if o1 else 0.0)
+    window = len(o1)
+    last = state.drift_windows[-1]
+    if not graph.vertices:
+        o2.append(0.0)
+    elif window + suffix_bound(profile.maximum) <= last + 10:
+        state.skipped[window - 1] = (len(graph), graph.edge_count(), state.uniforms,
+                                     state.rng.gauss_next)
+        state.uniforms += skip_frequencies(graph, state.rng)
+        o2.append(None)
+    else:
+        state.uniforms += assign_phases(graph, state.rng, state.config.sigma)
+        delta = rk4_step(graph)
+        o2.append(order_parameter([delta[v] for v in graph.order]))
+    if window - last > 10:
+        # The check reads O2 back to S windows before this one; S may have
+        # outgrown the bound some of them were skipped under.
+        s = suffix_size(profile.maximum, profile.average, len(state.drift_windows),
+                        state.config.variant)
+        for k in range(max(0, window - 1 - s), window):
+            if o2[k] is None:
+                rebuild_o2(state, k)
+    return cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
+                         state.drift_windows, state.config.variant)
 
 
 def run_sgdd(records, config: SgddConfig | None = None) -> list[DriftSignal]:

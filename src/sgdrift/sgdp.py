@@ -62,6 +62,15 @@ def suffix_size(maximum: float, average: float, d: int, variant: str = "default"
     return max(1, -(-num // den))
 
 
+def suffix_bound(maximum: float) -> int:
+    """The largest S that ``suffix_size`` gives at this burst maximum.
+
+    That is floor(log10(max(maximum, 100))), whatever the average, d and
+    variant: the average never exceeds the maximum.
+    """
+    return _digits_floor_log10(max(maximum, 100))
+
+
 @lru_cache(maxsize=128)
 def _decimal(x: float) -> Fraction:
     return Fraction(str(x))

@@ -108,6 +108,28 @@ class OscillatorGraph:
         self.theta[u] = math.fmod(float(self.nbr_sum[u]), TWO_PI)
         self.theta[v] = math.fmod(float(self.nbr_sum[v]), TWO_PI)
 
+    def prefix(self, n: int, m: int) -> "OscillatorGraph":
+        """The graph as it stood when it held its first ``n`` vertices and ``m`` edges.
+
+        Vertices and edges are append-only, so that graph is the first ``n``
+        ids with ``edges[:m]``. Its phases are recomputed from the integer
+        neighbour sums over those edges, its canonical order is ``order``
+        restricted to ids below ``n``, and its frequencies are zero. It is
+        a graph to draw frequencies for and integrate, not to project into.
+        """
+        past = OscillatorGraph()
+        past.keys, past.ident = self.keys[:n], self.ident[:n]
+        past.vertices = dict(zip(past.keys, range(n)))
+        past.edges = self.edges[:m]
+        past.nbr_sum = [0] * n
+        for u, v, _ in past.edges:
+            past.nbr_sum[u] += self.ident[v]
+            past.nbr_sum[v] += self.ident[u]
+        past.theta = [math.fmod(float(x), TWO_PI) for x in past.nbr_sum]
+        past.omega = [0.0] * n
+        past.order = [v for v in self.order if v < n]
+        return past
+
     def coupling_terms(self) -> list[tuple[int, int, float]]:
         """Every edge's ``(u, v, w * sin(theta_v - theta_u))`` at the current phases.
 
@@ -169,7 +191,7 @@ def project(window: BipartiteWindow, graph: OscillatorGraph, young: set[int]) ->
 
 
 def assign_phases(graph: OscillatorGraph, rng: random.Random,
-                  sigma: float = 1.0) -> None:
+                  sigma: float = 1.0) -> int:
     """Resample every vertex's frequency for the next integration step.
 
     Phases need no work here: each is the exact integer sum of neighbour
@@ -186,7 +208,7 @@ def assign_phases(graph: OscillatorGraph, rng: random.Random,
     same arithmetic inline, one pair of vertices per pair of uniforms,
     and leaves the ends to ``gauss`` itself: the first vertex spends a
     value kept from an earlier call, and an unpaired last vertex keeps its
-    sine value for the next one.
+    sine value for the next one. Returns the number of uniforms drawn.
     """
     omega, order, gauss, uniform = graph.omega, graph.order, rng.gauss, rng.random
     cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, TWO_PI
@@ -203,6 +225,27 @@ def assign_phases(graph: OscillatorGraph, rng: random.Random,
         omega[b] = 0.0 + sin(x2pi) * g2rad * sigma
     if stop < len(order):
         omega[order[stop]] = gauss(0.0, sigma)
+        return stop - start + 2
+    return stop - start
+
+
+def skip_frequencies(graph: OscillatorGraph, rng: random.Random) -> int:
+    """Leave ``rng`` exactly as ``assign_phases(graph, rng)`` would, drawing nothing.
+
+    A kept ``gauss_next`` value is spent, and the uniforms of the full
+    pairs go through one ``getrandbits`` call: ``random()`` takes two
+    32-bit words per uniform, four per pair. An unpaired last vertex calls
+    ``rng.gauss`` for real, so ``gauss_next`` keeps the value it would.
+    Returns the number of uniforms ``assign_phases`` would have drawn.
+    """
+    n = len(graph.order)
+    if n and rng.gauss_next is not None:
+        rng.gauss_next = None
+        n -= 1
+    rng.getrandbits(128 * (n // 2))
+    if n % 2:
+        rng.gauss()
+    return n + n % 2
 
 
 def order_parameter(phases) -> float:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from statistics import fmean
 
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
 from sgdrift.sgdp import SgdpState, cds_bursts
 from sgdrift.signals import DriftSignal
-from sgdrift.stream_model import SGR, SgrParseError, ingest_timestamp, parse_sgr
+from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest,
+                                  ingest_timestamp, parse_sgr)
 from sgdrift.uwgo import STEP, OscillatorGraph
 
 # Worked-example window: solid edges form eight butterflies connected
@@ -155,7 +158,12 @@ def rk4_oracle(graph: OscillatorGraph) -> list[float]:
     it bit for bit, up to the sign of an exact zero: where two phases are
     equal, one end adds -0.0 where this oracle adds 0.0.
     """
-    theta0, omega, links = graph.theta, graph.omega, adjacency(graph)
+    return rk4_per_vertex(graph.theta, graph.omega, adjacency(graph))
+
+
+def rk4_per_vertex(theta0: list[float], omega: list[float],
+                   links: list[list[tuple[int, float]]]) -> list[float]:
+    """``rk4_oracle`` over plain lists: ``links[v]`` is v's (neighbour, weight) list."""
     sin = math.sin
 
     def deriv(theta: list[float]) -> list[float]:
@@ -360,3 +368,101 @@ def reference_sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
             if signal is not None:
                 fired.append(signal)
     return fired
+
+
+# --- detector oracle -------------------------------------------------------------
+
+def _ident(key) -> int:
+    return int.from_bytes(hashlib.blake2b("\x1f".join(key).encode("utf-8"),
+                                          digest_size=4).digest(), "big")
+
+
+def _coherence(phases: list[float]) -> float:
+    # Left to right, as the module promises: sum() is compensated from 3.12 on.
+    s = c = 0.0
+    for p in phases:
+        s += math.sin(p)
+        c += math.cos(p)
+    return min(math.hypot(s, c) / len(phases), 1.0)
+
+
+def reference_sgdd(records, x: float = 0.25, sigma: float = 1.0, seed: int = 0,
+                   variant: str = "default") -> list[DriftSignal]:
+    """sgdd read literally from its module docstring, one whole window at a time.
+
+    Every window that the profile closes projects its young butterflies in
+    canonical order: a new butterfly is linked, with weight |L|, to every
+    butterfly already in the graph that shares a j-vertex with it. Then,
+    from scratch: each phase is the sum of its neighbours' identifiers
+    modulo 2*pi, every vertex draws ``rng.gauss(0.0, sigma)`` in canonical
+    order, O1 is the coherence of the phases, and O2 that of one per-vertex
+    RK4 step. An empty graph carries both values forward. C1-C3 are then
+    applied as written. Only the profile and the key and signal types are
+    shared with ``sgdrift``.
+    """
+    profile = BurstProfile()
+    rng = random.Random(seed)
+    window: dict[str, set[str]] = {}
+    last_touch: dict[str, int] = {}
+    keys: list[ButterflyKey] = []
+    ident: dict[ButterflyKey, int] = {}
+    links: dict[ButterflyKey, list[tuple[ButterflyKey, float]]] = {}
+    o1: list[float] = []
+    o2: list[float] = []
+    drift = [0]
+    signals = []
+    for t, r in enumerate(records, start=1):
+        starts = ingest(profile, r)
+        window.setdefault(r.j, set()).add(r.i)
+        last_touch[r.j] = r.tau
+        if not starts:
+            continue
+        young = reference_young(list(profile.seen), x)
+        young_js = {j for j, tau in last_touch.items() if tau in young}
+        edges = {(i, j) for j, i_set in window.items() for i in i_set}
+        for key in brute_force_butterflies(edges, young_js):
+            if key in links:
+                continue
+            sharers = sorted(k for k in keys if set(k.j_vertices) & set(key.j_vertices))
+            links[key] = []
+            for other in sharers:
+                links[key].append((other, float(len(sharers) + 1)))
+                links[other].append((key, float(len(sharers) + 1)))
+            keys.append(key)
+            ident[key] = _ident(key)
+        window.clear()
+        last_touch.clear()
+        if keys:
+            canonical = sorted(keys)
+            theta = [math.fmod(float(sum(ident[n] for n, _ in links[k])), 2.0 * math.pi)
+                     for k in canonical]
+            omega = [rng.gauss(0.0, sigma) for _ in canonical]
+            pos = {k: p for p, k in enumerate(canonical)}
+            adjacent = [[(pos[n], w) for n, w in links[k]] for k in canonical]
+            o1.append(_coherence(theta))
+            o2.append(_coherence(rk4_per_vertex(theta, omega, adjacent)))
+        else:
+            o1.append(o1[-1] if o1 else 0.0)
+            o2.append(o2[-1] if o2 else 0.0)
+        w, d = len(o1), len(drift)
+        num = len(str(int(max(profile.maximum, 100)))) - 1
+        den = len(str(int(max(profile.average, 10)))) - 1
+        if (d % 2 == 0) == (variant == "default"):
+            num, den = den, num
+        s = max(1, math.ceil(Fraction(num, den)))
+        sprime = max(1, math.ceil(Fraction(s, d)))
+        if w - 1 < s:
+            continue
+        more = sum(1 for v in o2[w - 1 - s:w - 1] if v > o2[w - 1])
+        less = sum(1 for v in o2[w - 1 - s:w - 1] if v < o2[w - 1])
+        mu1 = fmean(o1[w - 1 - sprime:w - 1])
+        c1 = abs(mu1 - o1[w - 1]) < 10.0 ** -(d + 2)
+        c2 = more >= sprime or less >= sprime
+        c3 = w - drift[-1] > 10
+        if c1 and c2 and c3:
+            drift.append(w)
+            signals.append(DriftSignal(
+                mode="sgdd", t=t, window=w, wall_ms=0.0,
+                params={"alpha": d + 2, "S": s, "S_prime": sprime, "mu1": mu1,
+                        "more": more, "less": less, "O1": o1[w - 1], "O2": o2[w - 1]}))
+    return signals

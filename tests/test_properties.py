@@ -13,7 +13,10 @@ RK4 kernel is checked for equality against the per-vertex one, also on a
 graph that grows and has its phases rewritten between steps; there its
 cached first-stage terms must match terms taken afresh bit for bit.
 Paired frequency draws are checked against one ``Random.gauss`` call per
-vertex. sgdp's step, which reads its window gate once and returns at most
+vertex, and the RNG advance of a skipped window against those draws. The
+whole of sgdd, which skips the draws and the integration of windows no
+check can read, is checked against a literal per-window implementation of
+its module docstring on drawn streams and on one golden stream. sgdp's step, which reads its window gate once and returns at most
 one signal, is checked against a step that re-reads the gate before every
 threshold factor and collects every signal in a list.
 """
@@ -21,20 +24,22 @@ threshold factor and collects every signal in a list.
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ReferenceProfile, brute_force_butterflies, butterfly_key,
-                     reference_ingest, reference_parse_sgr, reference_sgdp_step,
-                     reference_young, rk4_oracle, window_edges)
+                     reference_ingest, reference_parse_sgr, reference_sgdd,
+                     reference_sgdp_step, reference_young, rk4_oracle, window_edges)
 from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
-from sgdrift.sgdd import SgddConfig, SgddState, sgdd_step
+from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
+from sgdrift.sgdd import SgddConfig, SgddState, run_sgdd, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
                           SgdpState, sgdp_step)
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
 from sgdrift.uwgo import (TWO_PI, OscillatorGraph, assign_phases, butterfly_ident,
-                          order_parameter, rk4_step)
+                          order_parameter, rk4_step, skip_frequencies)
+from test_golden import SGDD_GOLDEN
 
 # Runs of one timestamp (bursts), drawn from a small range so that values
 # repeat, come back late and go down as well as up.
@@ -274,6 +279,76 @@ def test_assign_phases_pairs_match_gauss_loop(seed, calls):
             expected.omega[v] = looped.gauss(0.0, sigma)
         assert list(map(repr, graph.omega)) == list(map(repr, expected.omega))
         assert paired.getstate() == looped.getstate()
+
+
+def test_skip_frequencies_leaves_rng_as_assign_phases():
+    for n in range(61):
+        for carried in (False, True):
+            drawn, skipped, replayed = random.Random(n), random.Random(n), random.Random(n)
+            if carried:
+                drawn.gauss()
+                skipped.gauss()
+            graph = _graph_of_size(n)
+            uniforms = assign_phases(graph, drawn)
+            assert skip_frequencies(graph, skipped) == uniforms
+            assert skipped.getstate() == drawn.getstate()
+            # Both count the uniforms drawn: skipping that many (and the
+            # carried gauss call's two) reaches the same state.
+            replayed.getrandbits(64 * (2 * carried + uniforms))
+            replayed.gauss_next = drawn.gauss_next
+            assert replayed.getstate() == drawn.getstate()
+
+
+# Bursts of a drifting detector stream: how far back from a running counter
+# the timestamp lies (0 opens a new one; more repeats one or comes back
+# late, below the newest), the burst's edges as a bit mask over a 4 x 4
+# vertex pool, whether they go to fresh vertices instead (whose windows
+# form no butterfly; 1 in 6), and whether they are sent 120 times over
+# (1 in 21), which can take the largest burst past 1,000 and S to 3.
+# Forty or more bursts take most streams past d >= 3.
+detector_bursts = st.lists(
+    st.tuples(st.sampled_from([0, 0, 0, 0, 1, 2, 6]), st.integers(1, 2**16 - 1),
+              st.integers(0, 5), st.integers(0, 20)),
+    min_size=40, max_size=150)
+
+
+def _detector_stream(bursts) -> list[SGR]:
+    records = []
+    for counter, (back, mask, fresh, repeat) in enumerate(bursts, start=1):
+        edges = [(f"i{k // 4}", f"j{k % 4}") for k in range(16) if mask >> k & 1]
+        if fresh == 0:
+            edges = [(f"{i}.{counter}.{k}", f"{j}.{counter}.{k}")
+                     for k, (i, j) in enumerate(edges)]
+        for _ in range(120 if repeat == 0 else 1):
+            for i, j in edges:
+                records.append(SGR(i, j, 1.0, counter - back, len(records) + 1))
+    return records
+
+
+# The complete 3 x 3 window at every timestamp, the 32nd sent 120 times:
+# seed 0 signals at windows 11 and 22, the largest burst passes 1,000 after
+# window 30 was skipped, and the check at window 33 (d = 3, S = 3) reads it.
+_SATURATED = [(0, 0b11101110111, 1, 1)] * 31 + [(0, 0b11101110111, 1, 0)] \
+    + [(0, 0b11101110111, 1, 1)] * 27
+
+
+@settings(max_examples=100, deadline=None)
+@given(detector_bursts, st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from(VARIANTS),
+       st.integers(0, 3))
+@example(_SATURATED, 0.25, "default", 0)
+def test_sgdd_matches_reference_detector(bursts, x, variant, seed):
+    records = _detector_stream(bursts)
+    expected = reference_sgdd(records, x=x, seed=seed, variant=variant)
+    signals = run_sgdd(records, SgddConfig(x=x, seed=seed, variant=variant))
+    assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
+
+
+def test_sgdd_matches_reference_detector_on_a_golden_stream():
+    records, _ = generate(GeneratorConfig(seed=3, prefix_len=500),
+                          DriftSchedule.make("gradual", 500), 3000)
+    expected = [s.fingerprint() for s in reference_sgdd(records, seed=3)]
+    assert len(expected) == SGDD_GOLDEN[("gradual", 3)][0]
+    assert [s.fingerprint() for s in run_sgdd(records, SgddConfig(seed=3))] == expected
 
 
 # Field text: numbers, words, empty strings and delimiter-free junk, padded

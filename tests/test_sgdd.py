@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FIG5_DOTTED, FIG5_SOLID, taus_to_records
+from helpers import FIG5_DOTTED, FIG5_SOLID, reference_sgdd, taus_to_records
+from sgdrift import sgdd
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
-from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, run_sgdd,
+from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, rebuild_o2, run_sgdd,
                           sgdd_step, sprime_length)
 from sgdrift.sgdp import SgdpConfig
 from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
+from test_golden import SGDD_APPENDIX_GOLDEN, SGDD_GOLDEN, _digest
 
 
 def fig5_stream():
@@ -78,6 +80,12 @@ def test_cdc_requires_extremum_in_o2():
     o1 = _series(11, 0.4)
     o2 = [0.1, 0.9] * 5 + [0.5]  # mixed suffix, neither count reaches S'
     assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0]) is None
+
+
+def test_cdc_tests_spacing_before_reading_the_series():
+    # Windows that no spaced check can read hold placeholders.
+    o1 = _series(12, 0.4)
+    assert cdc_butterfly(100, 10, o1, [None] * 12, t=100, drift_windows=[5]) is None
 
 
 def test_cdc_insufficient_series_is_quiet():
@@ -156,8 +164,81 @@ def test_fig5_stream_one_window_no_signal():
     assert len(state.o1) == 1 and len(state.o2) == 1
     assert len(state.graph) == 8  # the worked example's young butterflies
     assert state.o1[0] > 0.0
+    # No check can read window 1's O2, so it was skipped; rebuild it.
+    assert state.o2 == [None]
     # predicted phase changes are small and clustered: high coherence
-    assert state.o2[0] > 0.9
+    assert rebuild_o2(state, 0) > 0.9
+
+
+# --- skipped windows ----------------------------------------------------------------
+
+def _run_counting_rebuilds(monkeypatch, records, config):
+    """Signals, the O2 series and the indices ``rebuild_o2`` was called for."""
+    rebuilt = []
+    rebuild = sgdd.rebuild_o2
+    monkeypatch.setattr(sgdd, "rebuild_o2",
+                        lambda state, k: rebuilt.append(k) or rebuild(state, k))
+    state = SgddState(config=config)
+    signals = [s for r in records if (s := sgdd_step(state, r)) is not None]
+    monkeypatch.setattr(sgdd, "rebuild_o2", rebuild)
+    return signals, state.o2, rebuilt
+
+
+def _unskipped_o2(monkeypatch, records, config):
+    """The O2 series of a run with a bound on S so large that nothing is skipped."""
+    bound = sgdd.suffix_bound
+    monkeypatch.setattr(sgdd, "suffix_bound", lambda maximum: 10**9)
+    _, o2, _ = _run_counting_rebuilds(monkeypatch, records, config)
+    monkeypatch.setattr(sgdd, "suffix_bound", bound)
+    assert None not in o2
+    return o2
+
+
+@pytest.mark.parametrize("pattern,seed,variant", [
+    *((pattern, seed, "default") for pattern, seed in sorted(SGDD_GOLDEN)),
+    ("gradual", 3, "appendix")])
+def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, variant):
+    # With the bound on S forced down, windows that spaced checks read are
+    # skipped too, and every such read goes through rebuild_o2.
+    records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
+                          DriftSchedule.make(pattern, 500), 3000)
+    config = SgddConfig(seed=seed, variant=variant)
+    unskipped = _unskipped_o2(monkeypatch, records, config)
+    bound = sgdd.suffix_bound
+    monkeypatch.setattr(sgdd, "suffix_bound", lambda maximum: bound(maximum) - 8)
+    signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
+    expected = SGDD_GOLDEN[(pattern, seed)] if variant == "default" else SGDD_APPENDIX_GOLDEN
+    assert _digest(signals) == expected
+    assert rebuilt
+    assert [o2[k] for k in rebuilt] == [unskipped[k] for k in rebuilt]
+
+
+def _saturated_stream(big_tau: int) -> list[SGR]:
+    """Bursts of the complete 3 x 3 window, one timestamp each; the burst at
+    ``big_tau`` sends its first edge 1,000 more times."""
+    records = []
+    for tau in range(1, 60):
+        edges = [(f"i{a}", f"j{b}") for a in range(3) for b in range(3)]
+        if tau == big_tau:
+            edges += [edges[0]] * 1000
+        for i, j in edges:
+            records.append(SGR(i, j, 1.0, tau, len(records) + 1))
+    return records
+
+
+def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
+    # Seed 0 signals at windows 11, 22, 33, ... The burst at timestamp 32
+    # opens with the record that closes window 30, so the largest burst
+    # reaches 1,000 only after window 30 was skipped under S <= 2. At
+    # window 33, d = 3 gives S = 3, and the check reads window 30.
+    records = _saturated_stream(big_tau=32)
+    config = SgddConfig(seed=0)
+    signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
+    assert rebuilt == [29]
+    assert o2[29] == _unskipped_o2(monkeypatch, records, config)[29]
+    assert [s.params["S"] for s in signals if s.window == 33] == [3]
+    expected = reference_sgdd(records, seed=0)
+    assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
 
 
 def test_boundary_record_joins_closing_window():

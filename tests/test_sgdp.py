@@ -7,7 +7,8 @@ import pytest
 
 from helpers import taus_to_records
 from sgdrift.sgdp import (FULL_F_SCHEDULE, SgdpConfig, SgdpState, cds_bursts,
-                          count_threshold, run_sgdp, sgdp_step, suffix_size)
+                          count_threshold, run_sgdp, sgdp_step, suffix_bound,
+                          suffix_size)
 from sgdrift.stream_model import BurstProfile, ingest_timestamp
 
 
@@ -36,7 +37,9 @@ def test_suffix_size_always_positive():
         maximum = rng.uniform(0, 10 ** rng.randint(0, 8))
         average = rng.uniform(0, maximum) if maximum else 0.0
         for variant in ("default", "appendix"):
-            assert suffix_size(maximum, average, rng.randint(1, 9), variant) >= 1
+            # ... and never above the bound sgdd skips windows by.
+            s = suffix_size(maximum, average, rng.randint(1, 9), variant)
+            assert 1 <= s <= suffix_bound(maximum)
 
 
 def test_suffix_size_rejects_bad_args():
