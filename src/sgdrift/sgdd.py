@@ -23,22 +23,28 @@ Windows that close while the graph is still empty record 0 for O1 and O2
 series hold one value per closed window and their length is the window
 index.
 
-Only O2 needs the frequencies and the integration, and C3 at a later
-window depends only on its index and the last signalled window L. A check
-reads O2 no further back than S windows, and S never exceeds
-floor(log10(max(maximum, 100))). So a window W with W + that bound <= L + 10
-integrates nothing: it advances the RNG exactly as its draws would, appends
-``None`` to ``o2`` and records what rebuilding its O2 would take. Every
-other window with a non-empty graph draws and integrates. Should S outgrow
-the bound, a check that passes C3 and reaches a skipped window has that
-O2 rebuilt first (``rebuild_o2``). ``cdc_butterfly`` tests C3 before it
-reads either series. O1 is recomputed whenever the graph grew, so ``o1``
-holds a value for every window.
+Only O2 needs the frequencies and the integration, and a check reads O2
+only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1, which
+reads ``o1`` alone, and reads ``o2`` last. C3 at a later window depends
+only on its index and the last signalled window L, and a check reads O2
+no further back than S windows. S never exceeds the bound b of
+``sgdp.suffix_bound``: 1 on the parity of d that swaps the ratio, so
+S = 1 until the next signal, and floor(log10(max(maximum, 100)))
+otherwise. A window W draws and integrates at once when b >= 2 and
+W + b > L + 10. Every other window with a non-empty graph appends
+``None`` to ``o2`` and records what rebuilding its O2 would take. Just
+before a check reads ``o2``, every placeholder among the S + 1 windows it
+reads is filled: the current window draws from the live RNG, and earlier
+ones are rebuilt (``rebuild_o2``). So an S = 1 check integrates at most
+twice, and only a grown S reaches further. A window its own check left
+unfilled advances the RNG exactly as its draws would. O1 is recomputed
+whenever the graph grew, so ``o1`` holds a value for every window.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from statistics import fmean
 
@@ -50,6 +56,8 @@ from .uwgo import (OscillatorGraph, assign_phases, order_parameter, project, rk4
                   skip_frequencies)
 
 # Uniforms skipped per getrandbits call when rebuild_o2 replays the RNG.
+# Replaying this many costs about as much as copying an RNG's state, so a
+# replay RNG that lags further is brought up by a copy instead.
 REPLAY_CHUNK = 1 << 12
 
 
@@ -74,7 +82,11 @@ class SgddState:
     in ``o2`` to ``(V, E, uniforms, gauss_next)``: the graph's vertex and
     edge counts, the uniforms drawn since ``rng_start`` before its draws,
     and the ``gauss_next`` value the RNG carried into them. ``rng_start``
-    is the RNG's state when the detector was created.
+    is the RNG's state when the detector was created. ``replay`` is a
+    second RNG that trails ``rng`` and has drawn ``replay_at`` uniforms
+    since then: it ends where the last window rebuilt from it ends, or it
+    was set to the start of a skipped window that the next check can read
+    because it lagged by more than ``REPLAY_CHUNK`` uniforms.
     """
 
     config: SgddConfig = field(default_factory=SgddConfig)
@@ -90,11 +102,15 @@ class SgddState:
         default_factory=dict, init=False)
     uniforms: int = field(default=0, init=False)
     rng_start: tuple = field(init=False, repr=False)
+    replay: random.Random = field(init=False, repr=False)
+    replay_at: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.rng is None:
             self.rng = random.Random(self.config.seed)
         self.rng_start = self.rng.getstate()
+        self.replay = random.Random()
+        self.replay.setstate(self.rng_start)
 
 
 def sprime_length(s: int, d: int) -> int:
@@ -102,17 +118,20 @@ def sprime_length(s: int, d: int) -> int:
     return max(1, -(-s // d))
 
 
-def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[float],
-                  t: int, drift_windows: list[int],
-                  variant: str = "default") -> DriftSignal | None:
+def cdc_butterfly(maximum: float, average: float, o1: list[float],
+                  o2: list[float | None], t: int, drift_windows: list[int],
+                  variant: str = "default",
+                  fill: Callable[[int, int], None] | None = None) -> DriftSignal | None:
     """Drift check over the coherence series for the current window.
 
     ``o1``/``o2`` hold one value per closed window (element 0 belongs to
     window 1), so the current window W is ``len(o1)``; the values at W are
     the comparison anchors and the suffixes are drawn from the windows
     before W. Fewer than S preceding windows is insufficient evidence, not
-    an error. C3 is tested first, and the series are read only when it
-    holds. On a signal the window is appended to the drift log, which
+    an error. C3 is tested first, then C1, which reads ``o1`` only, and
+    ``o2`` is read only when both hold; ``fill(first, stop)``, if given, is
+    called just before that read with the slice ``o2[first:stop]`` it
+    covers. On a signal the window is appended to the drift log, which
     tightens C1 (the precision exponent is d+2) for later checks.
     """
     window = len(o1)
@@ -125,16 +144,18 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[floa
     # S' <= S, so enough O2 history is enough O1 history too.
     if prior < s:
         return None
+    alpha = d + 2
     current_o1 = o1[prior]
+    mu1 = fmean(o1[prior - sprime:prior])
+    if not abs(mu1 - current_o1) < 10.0 ** (-alpha):
+        return None
+    if fill is not None:
+        fill(prior - s, window)
     current_o2 = o2[prior]
     suffix = o2[prior - s:prior]
     more = sum(1 for v in suffix if v > current_o2)
     less = sum(1 for v in suffix if v < current_o2)
-    alpha = d + 2
-    extremum = less >= sprime or more >= sprime
-    mu1 = fmean(o1[prior - sprime:prior])
-    steady = abs(mu1 - current_o1) < 10.0 ** (-alpha)
-    if extremum and steady:
+    if less >= sprime or more >= sprime:
         drift_windows.append(window)
         return DriftSignal(
             mode="sgdd", t=t, window=window, wall_ms=now_ms(),
@@ -147,22 +168,37 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float], o2: list[floa
 def rebuild_o2(state: SgddState, index: int) -> float:
     """Compute the O2 of a skipped window, store it at ``state.o2[index]`` and return it.
 
-    The graph as it stood then is ``graph.prefix(V, E)``. Its frequencies
-    are drawn from a fresh RNG set to ``rng_start`` and advanced past the
-    uniforms drawn before that window, carrying the same ``gauss_next``, so
-    every draw, and with it the value, is the one the window would have made.
+    The graph as it stood then is the live graph if it still has V
+    vertices and E edges (its phases and coupling-term table are current),
+    and ``graph.prefix(V, E)`` otherwise. Its frequencies are drawn from
+    ``state.replay`` advanced past the uniforms drawn before that window,
+    or, if ``replay`` has already passed them, from a fresh RNG set to
+    ``rng_start``. Either carries the same ``gauss_next``, so every draw,
+    and with it the value, is the one the window would have made.
     """
     n, m, uniforms, carried = state.skipped.pop(index)
-    past = state.graph.prefix(n, m)
-    rng = random.Random()
-    rng.setstate(state.rng_start)
-    for done in range(0, uniforms, REPLAY_CHUNK):
+    graph = state.graph
+    if n != len(graph) or m != graph.edge_count():
+        graph = graph.prefix(n, m)
+    rng, at = state.replay, state.replay_at
+    if uniforms < at:
+        rng, at = random.Random(), 0
+        rng.setstate(state.rng_start)
+    for done in range(at, uniforms, REPLAY_CHUNK):
         rng.getrandbits(64 * min(REPLAY_CHUNK, uniforms - done))
     rng.gauss_next = carried
-    assign_phases(past, rng, state.config.sigma)
-    delta = rk4_step(past)
-    state.o2[index] = value = order_parameter([delta[v] for v in past.order])
+    value, drawn = _integrate(graph, rng, state.config.sigma)
+    if rng is state.replay:
+        state.replay_at = uniforms + drawn
+    state.o2[index] = value
     return value
+
+
+def _integrate(graph: OscillatorGraph, rng: random.Random, sigma: float) -> tuple[float, int]:
+    """O2 of ``graph`` with frequencies drawn from ``rng``, and the uniforms drawn."""
+    drawn = assign_phases(graph, rng, sigma)
+    delta = rk4_step(graph)
+    return order_parameter([delta[v] for v in graph.order]), drawn
 
 
 def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
@@ -191,28 +227,38 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     else:
         o1.append(o1[-1] if o1 else 0.0)
     window = len(o1)
-    last = state.drift_windows[-1]
+    drift_windows, variant = state.drift_windows, state.config.variant
+    bound = suffix_bound(profile.maximum, len(drift_windows), variant)
     if not graph.vertices:
         o2.append(0.0)
-    elif window + suffix_bound(profile.maximum) <= last + 10:
-        state.skipped[window - 1] = (len(graph), graph.edge_count(), state.uniforms,
-                                     state.rng.gauss_next)
-        state.uniforms += skip_frequencies(graph, state.rng)
-        o2.append(None)
+    elif bound >= 2 and window + bound > drift_windows[-1] + 10:
+        value, drawn = _integrate(graph, state.rng, state.config.sigma)
+        state.uniforms += drawn
+        o2.append(value)
     else:
-        state.uniforms += assign_phases(graph, state.rng, state.config.sigma)
-        delta = rk4_step(graph)
-        o2.append(order_parameter([delta[v] for v in graph.order]))
-    if window - last > 10:
-        # The check reads O2 back to S windows before this one; S may have
-        # outgrown the bound some of them were skipped under.
-        s = suffix_size(profile.maximum, profile.average, len(state.drift_windows),
-                        state.config.variant)
-        for k in range(max(0, window - 1 - s), window):
+        o2.append(None)
+
+    def fill(first: int, stop: int) -> None:
+        # This window's draws are still ahead of the live RNG.
+        if o2[-1] is None:
+            o2[-1], drawn = _integrate(graph, state.rng, state.config.sigma)
+            state.uniforms += drawn
+        for k in range(first, stop):
             if o2[k] is None:
                 rebuild_o2(state, k)
-    return cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
-                         state.drift_windows, state.config.variant)
+
+    signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
+                           drift_windows, variant, fill)
+    if o2[-1] is None:
+        state.skipped[window - 1] = (len(graph), graph.edge_count(), state.uniforms,
+                                     state.rng.gauss_next)
+        if (window + bound > drift_windows[-1] + 10
+                and state.uniforms - state.replay_at > REPLAY_CHUNK):
+            # The next check can read this window: bring the replay RNG up to it.
+            state.replay.setstate(state.rng.getstate())
+            state.replay_at = state.uniforms
+        state.uniforms += skip_frequencies(graph, state.rng)
+    return signal
 
 
 def run_sgdd(records, config: SgddConfig | None = None) -> list[DriftSignal]:

@@ -56,18 +56,26 @@ def suffix_size(maximum: float, average: float, d: int, variant: str = "default"
         raise ValueError("d must be at least 1")
     num = _digits_floor_log10(max(maximum, 100))
     den = _digits_floor_log10(max(average, 10))
-    flipped = (d % 2 == 0) if variant == "default" else (d % 2 == 1)
-    if flipped:
+    if _swapped(d, variant):
         num, den = den, num
     return max(1, -(-num // den))
 
 
-def suffix_bound(maximum: float) -> int:
-    """The largest S that ``suffix_size`` gives at this burst maximum.
+def _swapped(d: int, variant: str) -> bool:
+    # The parity of d on which the variant takes the reciprocal ratio.
+    return (d % 2 == 0) == (variant == "default")
 
-    That is floor(log10(max(maximum, 100))), whatever the average, d and
-    variant: the average never exceeds the maximum.
+
+def suffix_bound(maximum: float, d: int, variant: str = "default") -> int:
+    """The largest S that ``suffix_size`` gives at this burst maximum and d.
+
+    The average never exceeds the maximum, so the reciprocal ratio is at
+    most 1 and S is 1 on the parity of d that takes it. On the other
+    parity S is at most floor(log10(max(maximum, 100))), whatever the
+    average.
     """
+    if _swapped(d, variant):
+        return 1
     return _digits_floor_log10(max(maximum, 100))
 
 

@@ -12,6 +12,7 @@ from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, rebuild_o2, run_
                           sgdd_step, sprime_length)
 from sgdrift.sgdp import SgdpConfig
 from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
+from sgdrift.uwgo import OscillatorGraph
 from test_golden import SGDD_APPENDIX_GOLDEN, SGDD_GOLDEN, _digest
 
 
@@ -86,6 +87,26 @@ def test_cdc_tests_spacing_before_reading_the_series():
     # Windows that no spaced check can read hold placeholders.
     o1 = _series(12, 0.4)
     assert cdc_butterfly(100, 10, o1, [None] * 12, t=100, drift_windows=[5]) is None
+
+
+def test_cdc_tests_steadiness_before_reading_o2():
+    # C3 holds but O1 moved, so the O2 suffix, all placeholders, is never
+    # read, and neither is the hook that would fill it.
+    o1 = [0.4] * 11 + [0.6]
+    fills = []
+    assert cdc_butterfly(100, 10, o1, [None] * 12, t=100, drift_windows=[0],
+                         fill=lambda first, stop: fills.append((first, stop))) is None
+    assert fills == []
+    # Steady O1: the hook is called with the slice the check reads.
+    o1[-1] = 0.4
+    o2 = [None] * 12
+
+    def fill(first, stop):
+        fills.append((first, stop))
+        o2[first:stop] = [0.9] * (stop - first - 1) + [0.1]
+
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0], fill=fill) is not None
+    assert fills == [(9, 12)]
 
 
 def test_cdc_insufficient_series_is_quiet():
@@ -187,7 +208,7 @@ def _run_counting_rebuilds(monkeypatch, records, config):
 def _unskipped_o2(monkeypatch, records, config):
     """The O2 series of a run with a bound on S so large that nothing is skipped."""
     bound = sgdd.suffix_bound
-    monkeypatch.setattr(sgdd, "suffix_bound", lambda maximum: 10**9)
+    monkeypatch.setattr(sgdd, "suffix_bound", lambda maximum, d, variant: 10**9)
     _, o2, _ = _run_counting_rebuilds(monkeypatch, records, config)
     monkeypatch.setattr(sgdd, "suffix_bound", bound)
     assert None not in o2
@@ -205,7 +226,8 @@ def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, varian
     config = SgddConfig(seed=seed, variant=variant)
     unskipped = _unskipped_o2(monkeypatch, records, config)
     bound = sgdd.suffix_bound
-    monkeypatch.setattr(sgdd, "suffix_bound", lambda maximum: bound(maximum) - 8)
+    monkeypatch.setattr(sgdd, "suffix_bound",
+                        lambda maximum, d, variant: bound(maximum, d, variant) - 8)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
     expected = SGDD_GOLDEN[(pattern, seed)] if variant == "default" else SGDD_APPENDIX_GOLDEN
     assert _digest(signals) == expected
@@ -230,15 +252,97 @@ def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
     # Seed 0 signals at windows 11, 22, 33, ... The burst at timestamp 32
     # opens with the record that closes window 30, so the largest burst
     # reaches 1,000 only after window 30 was skipped under S <= 2. At
-    # window 33, d = 3 gives S = 3, and the check reads window 30.
+    # window 33, d = 3 gives S = 3, and the check reads window 30. At
+    # d = 2 (windows 12-22) and d = 4 (windows 34-44) the bound on S is 1,
+    # so every window skips: the S = 1 checks at windows 22 and 44 read
+    # windows 21 and 43 through rebuild_o2 and draw their own window's
+    # frequencies from the live RNG.
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
-    assert rebuilt == [29]
+    assert rebuilt == [20, 29, 42]
     assert o2[29] == _unskipped_o2(monkeypatch, records, config)[29]
     assert [s.params["S"] for s in signals if s.window == 33] == [3]
     expected = reference_sgdd(records, seed=0)
     assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
+
+
+def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
+    # Newest first: the first rebuild advances the trailing replay RNG past
+    # every other placeholder, which must then replay from rng_start.
+    records = _saturated_stream(big_tau=32)
+    config = SgddConfig(seed=0)
+    state = SgddState(config=config)
+    for r in records:
+        sgdd_step(state, r)
+    pending = sorted(state.skipped, reverse=True)
+    assert len(pending) > 30
+    unskipped = _unskipped_o2(monkeypatch, records, config)
+    assert [rebuild_o2(state, k) for k in pending] == [unskipped[k] for k in pending]
+    assert None not in state.o2 and not state.skipped
+
+
+def _isolated_butterflies_stream() -> list[SGR]:
+    """Bursts that each add one butterfly on j-vertices of their own.
+
+    Each burst opens with an edge that joins the window before it, then
+    sends a complete 2 x 2 biclique. Every window adds one vertex with no
+    edge, so every phase is 0, O1 is 1 throughout, and C1 always holds.
+    """
+    records = []
+    for tau in range(1, 40):
+        edges = [(f"z{tau}", f"w{tau}")]
+        edges += [(f"{i}{tau}", f"{j}{tau}") for i in "ab" for j in "xy"]
+        for i, j in edges:
+            records.append(SGR(i, j, 1.0, tau, len(records) + 1))
+    return records
+
+
+def _check_s1_rebuild(monkeypatch, records):
+    """Run seed 0 over ``records`` counting rebuilds and ``prefix`` calls.
+
+    Checks the signals against ``reference_sgdd``, every rebuilt O2 against
+    a run that skips nothing, and that the first S = 1 check, at window 22,
+    fires. Returns the rebuilt indices and the ``prefix`` calls.
+    """
+    config = SgddConfig(seed=0)
+    prefixes = []
+    prefix = OscillatorGraph.prefix
+    monkeypatch.setattr(OscillatorGraph, "prefix",
+                        lambda graph, n, m: prefixes.append((n, m)) or prefix(graph, n, m))
+    signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
+    unskipped = _unskipped_o2(monkeypatch, records, config)
+    assert [o2[k] for k in rebuilt] == [unskipped[k] for k in rebuilt]
+    expected = reference_sgdd(records, seed=0)
+    assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
+    [signal] = [s for s in signals if s.window == 22]
+    assert signal.params["S"] == 1
+    assert signal.params["O2"] == unskipped[21]
+    return rebuilt, prefixes
+
+
+def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
+    # The complete 3 x 3 window re-derives the same butterflies every
+    # window, so the graph stops growing at window 3. At d = 2 every window
+    # skips, and the check at window 22 integrates the live graph for
+    # window 21 as well as for its own window.
+    rebuilt, prefixes = _check_s1_rebuild(monkeypatch, _saturated_stream(big_tau=0))
+    assert rebuilt == [20, 42]
+    assert prefixes == []
+
+
+def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
+    # Here the graph grows by one vertex every window, so window 21's graph
+    # is one vertex short of the live one and is rebuilt through prefix.
+    records = _isolated_butterflies_stream()
+    state = SgddState()
+    for r in records:
+        sgdd_step(state, r)
+    # Windows 1 and 2 close on an empty graph; window w holds w - 2 vertices.
+    assert set(state.o1[2:]) == {1.0} and state.graph.edge_count() == 0
+    rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
+    assert rebuilt == [20]
+    assert prefixes == [(19, 0)]
 
 
 def test_boundary_record_joins_closing_window():

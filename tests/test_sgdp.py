@@ -36,10 +36,16 @@ def test_suffix_size_always_positive():
     for _ in range(300):
         maximum = rng.uniform(0, 10 ** rng.randint(0, 8))
         average = rng.uniform(0, maximum) if maximum else 0.0
+        d = rng.randint(1, 9)
         for variant in ("default", "appendix"):
-            # ... and never above the bound sgdd skips windows by.
-            s = suffix_size(maximum, average, rng.randint(1, 9), variant)
-            assert 1 <= s <= suffix_bound(maximum)
+            # ... and never above the bound sgdd skips windows by, which is
+            # 1 on the parity of d that swaps the ratio and otherwise the
+            # S of an average below 100.
+            s = suffix_size(maximum, average, d, variant)
+            bound = suffix_bound(maximum, d, variant)
+            assert 1 <= s <= bound
+            swapped = d % 2 == 0 if variant == "default" else d % 2 == 1
+            assert bound == (1 if swapped else suffix_size(maximum, 0.0, d, variant))
 
 
 def test_suffix_size_rejects_bad_args():
