@@ -30,15 +30,20 @@ only on its index and the last signalled window L, and a check reads O2
 no further back than S windows. S never exceeds the bound b of
 ``sgdp.suffix_bound``: 1 on the parity of d that swaps the ratio, so
 S = 1 until the next signal, and floor(log10(max(maximum, 100)))
-otherwise. A window W draws and integrates at once when b >= 2 and
-W + b > L + 10. Every other window with a non-empty graph appends
-``None`` to ``o2`` and records what rebuilding its O2 would take. Just
+otherwise. So a check can read window W only if W + b > L + 10. Every
+window with a non-empty graph appends ``None`` to ``o2`` first. Just
 before a check reads ``o2``, every placeholder among the S + 1 windows it
 reads is filled: the current window draws from the live RNG, and earlier
-ones are rebuilt (``rebuild_o2``). So an S = 1 check integrates at most
-twice, and only a grown S reaches further. A window its own check left
-unfilled advances the RNG exactly as its draws would. O1 is recomputed
-whenever the graph grew, so ``o1`` holds a value for every window.
+ones are rebuilt (``rebuild_o2``). After the check, a readable window
+still unfilled draws and integrates from the live RNG only if one of the
+b - 1 readable windows before it holds a placeholder. Otherwise it
+records what rebuilding its O2 would take and advances the RNG exactly
+as its draws would. So with b = 1 no window integrates ahead of its
+check, with b = 2 readable windows alternate, and while b holds a check
+reads at most one placeholder besides its own window and integrates at
+most twice; only a grown b reaches further. O1 is recomputed whenever
+the graph grew, from the sines and cosines the graph takes as it writes
+each phase, so ``o1`` holds a value for every window.
 """
 
 from __future__ import annotations
@@ -169,12 +174,12 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     """Compute the O2 of a skipped window, store it at ``state.o2[index]`` and return it.
 
     The graph as it stood then is the live graph if it still has V
-    vertices and E edges (its phases and coupling-term table are current),
-    and ``graph.prefix(V, E)`` otherwise. Its frequencies are drawn from
-    ``state.replay`` advanced past the uniforms drawn before that window,
-    or, if ``replay`` has already passed them, from a fresh RNG set to
-    ``rng_start``. Either carries the same ``gauss_next``, so every draw,
-    and with it the value, is the one the window would have made.
+    vertices and E edges, and ``graph.prefix(V, E)`` otherwise. Its
+    frequencies are drawn from ``state.replay`` advanced past the uniforms
+    drawn before that window, or, if ``replay`` has already passed them,
+    from a fresh RNG set to ``rng_start``. Either carries the same
+    ``gauss_next``, so every draw, and with it the value, is the one the
+    window would have made.
     """
     n, m, uniforms, carried = state.skipped.pop(index)
     graph = state.graph
@@ -223,26 +228,22 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     # Edges only arrive with new vertices and phases depend on the edges
     # alone, so an unchanged vertex count means an unchanged O1.
     if len(graph) != size_before:
-        o1.append(order_parameter([graph.theta[v] for v in graph.order]))
+        o1.append(graph.coherence())
     else:
         o1.append(o1[-1] if o1 else 0.0)
     window = len(o1)
     drift_windows, variant = state.drift_windows, state.config.variant
     bound = suffix_bound(profile.maximum, len(drift_windows), variant)
-    if not graph.vertices:
-        o2.append(0.0)
-    elif bound >= 2 and window + bound > drift_windows[-1] + 10:
-        value, drawn = _integrate(graph, state.rng, state.config.sigma)
+    o2.append(None if graph.vertices else 0.0)
+
+    def draw() -> None:
+        # This window's draws are still ahead of the live RNG.
+        o2[-1], drawn = _integrate(graph, state.rng, state.config.sigma)
         state.uniforms += drawn
-        o2.append(value)
-    else:
-        o2.append(None)
 
     def fill(first: int, stop: int) -> None:
-        # This window's draws are still ahead of the live RNG.
         if o2[-1] is None:
-            o2[-1], drawn = _integrate(graph, state.rng, state.config.sigma)
-            state.uniforms += drawn
+            draw()
         for k in range(first, stop):
             if o2[k] is None:
                 rebuild_o2(state, k)
@@ -250,14 +251,20 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
                            drift_windows, variant, fill)
     if o2[-1] is None:
-        state.skipped[window - 1] = (len(graph), graph.edge_count(), state.uniforms,
-                                     state.rng.gauss_next)
-        if (window + bound > drift_windows[-1] + 10
-                and state.uniforms - state.replay_at > REPLAY_CHUNK):
-            # The next check can read this window: bring the replay RNG up to it.
-            state.replay.setstate(state.rng.getstate())
-            state.replay_at = state.uniforms
-        state.uniforms += skip_frequencies(graph, state.rng)
+        # A check reads at most ``bound`` windows before its own; filling
+        # this one when a readable window among the bound - 1 before it is
+        # unfilled leaves no check more than one placeholder to rebuild.
+        readable = drift_windows[-1] + 11 - bound
+        if window >= readable and None in o2[max(window - bound, readable - 1, 0):-1]:
+            draw()
+        else:
+            state.skipped[window - 1] = (len(graph), graph.edge_count(), state.uniforms,
+                                         state.rng.gauss_next)
+            if window >= readable and state.uniforms - state.replay_at > REPLAY_CHUNK:
+                # The next check can read this window: bring the replay RNG up to it.
+                state.replay.setstate(state.rng.getstate())
+                state.replay_at = state.uniforms
+            state.uniforms += skip_frequencies(graph, state.rng)
     return signal
 
 

@@ -15,10 +15,10 @@ changes under the attractive coupling sin(theta_n - theta_v), taking each
 edge's sine once for both ends. That is bit-exact against each vertex
 summing its own terms (sin is odd, rounding symmetric), up to the sign of
 an exact zero, which no coherence sum sees. Work that a window leaves
-unchanged is not redone, and the results stay bit-identical: the step's
-first stage reads its coupling terms from a table that re-takes only the
-edges of vertices whose phase was rewritten, and frequencies are drawn
-two per pair of uniforms, exactly as ``random.Random.gauss`` draws them.
+unchanged is not redone, and the results stay bit-identical: each phase's
+sine and cosine are taken when the phase is written, so the phase
+coherence costs no trigonometry, and frequencies are drawn two per pair
+of uniforms, exactly as ``random.Random.gauss`` draws them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import hashlib
 import math
 import random
 from bisect import insort
-from itertools import compress, islice
-from operator import is_not
+from itertools import islice
 
 from .butterfly import BipartiteWindow, ButterflyKey, enumerate_young
 
@@ -52,16 +51,16 @@ class OscillatorGraph:
     ``vertices`` maps each butterfly key to its id; ids count up from 0 in
     insertion order and index the per-vertex lists: ``keys``, ``ident``,
     ``nbr_sum`` (the exact integer sum of the neighbours' identifiers),
-    ``theta`` (that sum modulo 2*pi, updated by every link) and ``omega``.
-    ``order`` lists the ids in canonical key order. ``edges`` holds each
-    undirected edge once as ``(u, v, weight)``, in insertion order (edges are
-    only ever added): per vertex, the order ``rk4_step`` sums its terms in.
+    ``theta`` (that sum modulo 2*pi, updated by every link), ``sin_theta``
+    and ``cos_theta`` (its sine and cosine) and ``omega``. ``order`` lists
+    the ids in canonical key order. ``edges`` holds each undirected edge
+    once as ``(u, v, weight)``, in insertion order (edges are only ever
+    added): per vertex, the order ``rk4_step`` sums its terms in.
 
-    The graph also keeps a coupling-term table for ``rk4_step``'s first
-    stage, refreshed by ``coupling_terms``. It relies on vertices and edges
-    being append-only and on nothing else: it does not hook ``_add_edge``
-    but notices a rewritten phase by its float object's identity, so
-    callers may rewrite ``theta`` entries directly.
+    ``sin_theta`` and ``cos_theta`` follow only the phase writes that
+    ``_add_edge`` makes, and ``coherence`` reads them alone. A caller that
+    writes ``theta`` entries directly (as tests do) changes what
+    ``rk4_step`` integrates but not what ``coherence`` returns.
     """
 
     def __init__(self) -> None:
@@ -70,16 +69,12 @@ class OscillatorGraph:
         self.ident: list[int] = []
         self.nbr_sum: list[int] = []
         self.theta: list[float] = []
+        self.sin_theta: list[float] = []
+        self.cos_theta: list[float] = []
         self.omega: list[float] = []
         self.edges: list[tuple[int, int, float]] = []
         self.order: list[int] = []
         self._by_j: dict[str, set[int]] = {}
-        # The coupling-term table: one (u, v, w*sin(theta_v - theta_u)) per
-        # edge, each edge's index listed under both its ends, and the phase
-        # objects the terms were last taken from.
-        self._terms: list[tuple[int, int, float]] = []
-        self._incident: list[list[int]] = []
-        self._theta_seen: list[float] = []
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -94,6 +89,8 @@ class OscillatorGraph:
         self.ident.append(butterfly_ident(key))
         self.nbr_sum.append(0)
         self.theta.append(0.0)
+        self.sin_theta.append(0.0)
+        self.cos_theta.append(1.0)
         self.omega.append(0.0)
         insort(self.order, v, key=self.keys.__getitem__)
         for j in key.j_vertices:
@@ -105,61 +102,57 @@ class OscillatorGraph:
         self.edges.append((u, v, float(weight)))
         self.nbr_sum[u] += self.ident[v]
         self.nbr_sum[v] += self.ident[u]
-        self.theta[u] = math.fmod(float(self.nbr_sum[u]), TWO_PI)
-        self.theta[v] = math.fmod(float(self.nbr_sum[v]), TWO_PI)
+        self._set_phase(u)
+        self._set_phase(v)
+
+    def _set_phase(self, x: int) -> None:
+        theta = self.theta[x] = math.fmod(float(self.nbr_sum[x]), TWO_PI)
+        self.sin_theta[x] = math.sin(theta)
+        self.cos_theta[x] = math.cos(theta)
+
+    def coherence(self) -> float:
+        """``order_parameter`` of the phases in canonical order, from the cached sines.
+
+        The same floats summed in the same order, so the bits are the same,
+        as long as every phase was last written by ``_add_edge``.
+        """
+        sines, cosines = self.sin_theta, self.cos_theta
+        s = c = 0.0
+        for v in self.order:
+            s += sines[v]
+            c += cosines[v]
+        return min(math.hypot(s, c) / len(self.order), 1.0)
 
     def prefix(self, n: int, m: int) -> "OscillatorGraph":
         """The graph as it stood when it held its first ``n`` vertices and ``m`` edges.
 
         Vertices and edges are append-only, so that graph is the first ``n``
-        ids with ``edges[:m]``. Its phases are recomputed from the integer
-        neighbour sums over those edges, its canonical order is ``order``
-        restricted to ids below ``n``, and its frequencies are zero. It is
-        a graph to draw frequencies for and integrate, not to project into.
+        ids with ``edges[:m]``. Its neighbour sums are the current ones
+        minus what ``edges[m:]`` added to them, in exact integer arithmetic,
+        and only the phases those edges touched are reduced again. Its
+        canonical order is ``order`` restricted to ids below ``n``, and its
+        frequencies are zero. It is a graph to draw frequencies for and
+        integrate, not to project into.
         """
         past = OscillatorGraph()
         past.keys, past.ident = self.keys[:n], self.ident[:n]
         past.vertices = dict(zip(past.keys, range(n)))
         past.edges = self.edges[:m]
-        past.nbr_sum = [0] * n
-        for u, v, _ in past.edges:
-            past.nbr_sum[u] += self.ident[v]
-            past.nbr_sum[v] += self.ident[u]
-        past.theta = [math.fmod(float(x), TWO_PI) for x in past.nbr_sum]
+        past.nbr_sum, past.theta = self.nbr_sum[:n], self.theta[:n]
+        past.sin_theta, past.cos_theta = self.sin_theta[:n], self.cos_theta[:n]
+        touched = set()
+        for u, v, _ in islice(self.edges, m, None):
+            if u < n:
+                past.nbr_sum[u] -= self.ident[v]
+                touched.add(u)
+            if v < n:
+                past.nbr_sum[v] -= self.ident[u]
+                touched.add(v)
+        for x in touched:
+            past._set_phase(x)
         past.omega = [0.0] * n
-        past.order = [v for v in self.order if v < n]
+        past.order = list(filter(n.__gt__, self.order))
         return past
-
-    def coupling_terms(self) -> list[tuple[int, int, float]]:
-        """Every edge's ``(u, v, w * sin(theta_v - theta_u))`` at the current phases.
-
-        The terms are in edge order and cached between calls. A call takes
-        the terms of edges added since the last one, and re-takes those of
-        every edge at a vertex whose ``theta`` entry is not the very float
-        object it saw last time. Comparing identities rather than values
-        costs one C-level pass over the phases, catches a 0.0 rewritten as
-        -0.0 (their sines differ in sign), and at worst re-takes a term
-        whose phase was rewritten with an equal value.
-        """
-        theta, edges, terms = self.theta, self.edges, self._terms
-        seen, incident = self._theta_seen, self._incident
-        sin = math.sin
-        known = len(seen)
-        stale: set[int] = set()
-        for x in list(compress(range(known), map(is_not, theta, seen))):
-            seen[x] = theta[x]
-            stale.update(incident[x])
-        for e in stale:
-            u, v, w = edges[e]
-            terms[e] = (u, v, w * sin(theta[v] - theta[u]))
-        seen.extend(theta[known:])
-        incident.extend([] for _ in range(known, len(seen)))
-        for e in range(len(terms), len(edges)):
-            u, v, w = edges[e]
-            incident[u].append(e)
-            incident[v].append(e)
-            terms.append((u, v, w * sin(theta[v] - theta[u])))
-        return terms
 
 
 def project(window: BipartiteWindow, graph: OscillatorGraph, young: set[int]) -> None:
@@ -276,10 +269,7 @@ def rk4_step(graph: OscillatorGraph) -> list[float]:
     Returns the predicted phase change of every vertex over one step of
     size ``STEP``, indexed by vertex id, without mutating the graph's phases.
     Each stage scatters one term per edge, in edge order: it adds
-    p = w * sin(theta_v - theta_u) at u and subtracts it at v. The first
-    stage reads p from the graph's coupling-term table (``coupling_terms``),
-    which only re-takes the terms whose phases changed; the other three
-    stages evaluate theirs at shifted phases.
+    p = w * sin(theta_v - theta_u) at u and subtracts it at v.
     """
     theta0, omega, edges = graph.theta, graph.omega, graph.edges
     sin = math.sin
@@ -293,10 +283,7 @@ def rk4_step(graph: OscillatorGraph) -> list[float]:
         return out
 
     half = 0.5 * STEP
-    k1 = omega.copy()
-    for u, v, p in graph.coupling_terms():
-        k1[u] += p
-        k1[v] -= p
+    k1 = deriv(theta0)
     k2 = deriv([t + half * k for t, k in zip(theta0, k1)])
     k3 = deriv([t + half * k for t, k in zip(theta0, k2)])
     k4 = deriv([t + STEP * k for t, k in zip(theta0, k3)])

@@ -387,7 +387,8 @@ def _coherence(phases: list[float]) -> float:
 
 
 def reference_sgdd(records, x: float = 0.25, sigma: float = 1.0, seed: int = 0,
-                   variant: str = "default") -> list[DriftSignal]:
+                   variant: str = "default"
+                   ) -> tuple[list[DriftSignal], list[float], list[float]]:
     """sgdd read literally from its module docstring, one whole window at a time.
 
     Every window that the profile closes projects its young butterflies in
@@ -397,8 +398,9 @@ def reference_sgdd(records, x: float = 0.25, sigma: float = 1.0, seed: int = 0,
     modulo 2*pi, every vertex draws ``rng.gauss(0.0, sigma)`` in canonical
     order, O1 is the coherence of the phases, and O2 that of one per-vertex
     RK4 step. An empty graph carries both values forward. C1-C3 are then
-    applied as written. Only the profile and the key and signal types are
-    shared with ``sgdrift``.
+    applied as written. Returns the signals and the O1 and O2 series, in
+    which every window holds its value. Only the profile and the key and
+    signal types are shared with ``sgdrift``.
     """
     profile = BurstProfile()
     rng = random.Random(seed)
@@ -465,4 +467,4 @@ def reference_sgdd(records, x: float = 0.25, sigma: float = 1.0, seed: int = 0,
                 mode="sgdd", t=t, window=w, wall_ms=0.0,
                 params={"alpha": d + 2, "S": s, "S_prime": sprime, "mu1": mu1,
                         "more": more, "less": less, "O1": o1[w - 1], "O2": o2[w - 1]}))
-    return signals
+    return signals, o1, o2

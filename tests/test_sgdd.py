@@ -205,14 +205,11 @@ def _run_counting_rebuilds(monkeypatch, records, config):
     return signals, state.o2, rebuilt
 
 
-def _unskipped_o2(monkeypatch, records, config):
-    """The O2 series of a run with a bound on S so large that nothing is skipped."""
-    bound = sgdd.suffix_bound
-    monkeypatch.setattr(sgdd, "suffix_bound", lambda maximum, d, variant: 10**9)
-    _, o2, _ = _run_counting_rebuilds(monkeypatch, records, config)
-    monkeypatch.setattr(sgdd, "suffix_bound", bound)
-    assert None not in o2
-    return o2
+def _reference_run(records, config):
+    """Signals and O2 series of ``reference_sgdd``, which computes every window."""
+    signals, _, o2 = reference_sgdd(records, x=config.x, sigma=config.sigma,
+                                    seed=config.seed, variant=config.variant)
+    return signals, o2
 
 
 @pytest.mark.parametrize("pattern,seed,variant", [
@@ -224,7 +221,7 @@ def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, varian
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     config = SgddConfig(seed=seed, variant=variant)
-    unskipped = _unskipped_o2(monkeypatch, records, config)
+    _, unskipped = _reference_run(records, config)
     bound = sgdd.suffix_bound
     monkeypatch.setattr(sgdd, "suffix_bound",
                         lambda maximum, d, variant: bound(maximum, d, variant) - 8)
@@ -249,25 +246,29 @@ def _saturated_stream(big_tau: int) -> list[SGR]:
 
 
 def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
-    # Seed 0 signals at windows 11, 22, 33, ... The burst at timestamp 32
-    # opens with the record that closes window 30, so the largest burst
-    # reaches 1,000 only after window 30 was skipped under S <= 2. At
-    # window 33, d = 3 gives S = 3, and the check reads window 30. At
-    # d = 2 (windows 12-22) and d = 4 (windows 34-44) the bound on S is 1,
-    # so every window skips: the S = 1 checks at windows 22 and 44 read
-    # windows 21 and 43 through rebuild_o2 and draw their own window's
-    # frequencies from the live RNG.
+    # Seed 0 signals at windows 11, 22, 33, ... Where the bound on S is 2
+    # (d = 1 and d = 3), the readable windows alternate: the first skips,
+    # the next integrates, so the S = 2 check at window 11 rebuilds window
+    # 9. The burst at timestamp 32 opens with the record that closes
+    # window 30, so the largest burst reaches 1,000 only after window 30
+    # was skipped as unreadable under S <= 2. At window 33, d = 3 gives
+    # S = 3, and the check reads window 30. At d = 2 (windows 12-22) and
+    # d = 4 (windows 34-44) the bound on S is 1, so every window skips: the
+    # S = 1 checks at windows 22 and 44 read windows 21 and 43 through
+    # rebuild_o2 and draw their own window's frequencies from the live
+    # RNG. At d = 5 the bound is 3: window 52 skips, 53 and 54 integrate,
+    # and the S = 3 check at window 55 rebuilds window 52.
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
-    assert rebuilt == [20, 29, 42]
-    assert o2[29] == _unskipped_o2(monkeypatch, records, config)[29]
+    assert rebuilt == [8, 20, 29, 42, 51]
+    expected, reference_o2 = _reference_run(records, config)
+    assert [o2[k] for k in rebuilt] == [reference_o2[k] for k in rebuilt]
     assert [s.params["S"] for s in signals if s.window == 33] == [3]
-    expected = reference_sgdd(records, seed=0)
     assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
 
 
-def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
+def test_every_placeholder_rebuilds_in_any_order():
     # Newest first: the first rebuild advances the trailing replay RNG past
     # every other placeholder, which must then replay from rng_start.
     records = _saturated_stream(big_tau=32)
@@ -277,8 +278,8 @@ def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
         sgdd_step(state, r)
     pending = sorted(state.skipped, reverse=True)
     assert len(pending) > 30
-    unskipped = _unskipped_o2(monkeypatch, records, config)
-    assert [rebuild_o2(state, k) for k in pending] == [unskipped[k] for k in pending]
+    _, reference_o2 = _reference_run(records, config)
+    assert [rebuild_o2(state, k) for k in pending] == [reference_o2[k] for k in pending]
     assert None not in state.o2 and not state.skipped
 
 
@@ -301,9 +302,9 @@ def _isolated_butterflies_stream() -> list[SGR]:
 def _check_s1_rebuild(monkeypatch, records):
     """Run seed 0 over ``records`` counting rebuilds and ``prefix`` calls.
 
-    Checks the signals against ``reference_sgdd``, every rebuilt O2 against
-    a run that skips nothing, and that the first S = 1 check, at window 22,
-    fires. Returns the rebuilt indices and the ``prefix`` calls.
+    Checks the signals and every rebuilt O2 against ``reference_sgdd``,
+    and that the first S = 1 check, at window 22, fires. Returns the
+    rebuilt indices and the ``prefix`` calls.
     """
     config = SgddConfig(seed=0)
     prefixes = []
@@ -311,13 +312,12 @@ def _check_s1_rebuild(monkeypatch, records):
     monkeypatch.setattr(OscillatorGraph, "prefix",
                         lambda graph, n, m: prefixes.append((n, m)) or prefix(graph, n, m))
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
-    unskipped = _unskipped_o2(monkeypatch, records, config)
-    assert [o2[k] for k in rebuilt] == [unskipped[k] for k in rebuilt]
-    expected = reference_sgdd(records, seed=0)
+    expected, reference_o2 = _reference_run(records, config)
+    assert [o2[k] for k in rebuilt] == [reference_o2[k] for k in rebuilt]
     assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
     [signal] = [s for s in signals if s.window == 22]
     assert signal.params["S"] == 1
-    assert signal.params["O2"] == unskipped[21]
+    assert signal.params["O2"] == reference_o2[21]
     return rebuilt, prefixes
 
 
@@ -325,15 +325,18 @@ def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
     # The complete 3 x 3 window re-derives the same butterflies every
     # window, so the graph stops growing at window 3. At d = 2 every window
     # skips, and the check at window 22 integrates the live graph for
-    # window 21 as well as for its own window.
+    # window 21 as well as for its own window. The S = 2 checks at windows
+    # 11, 33 and 55 rebuild the first readable window before them, which
+    # skipped.
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, _saturated_stream(big_tau=0))
-    assert rebuilt == [20, 42]
+    assert rebuilt == [8, 20, 30, 42, 52]
     assert prefixes == []
 
 
 def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     # Here the graph grows by one vertex every window, so window 21's graph
-    # is one vertex short of the live one and is rebuilt through prefix.
+    # is one vertex short of the live one and is rebuilt through prefix, as
+    # are windows 9 and 31, which the S = 2 checks at windows 11 and 33 read.
     records = _isolated_butterflies_stream()
     state = SgddState()
     for r in records:
@@ -341,8 +344,8 @@ def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     # Windows 1 and 2 close on an empty graph; window w holds w - 2 vertices.
     assert set(state.o1[2:]) == {1.0} and state.graph.edge_count() == 0
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
-    assert rebuilt == [20]
-    assert prefixes == [(19, 0)]
+    assert rebuilt == [8, 20, 30]
+    assert prefixes == [(7, 0), (19, 0), (29, 0)]
 
 
 def test_boundary_record_joins_closing_window():
