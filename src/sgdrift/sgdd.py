@@ -24,45 +24,40 @@ series hold one value per closed window and their length is the window
 index.
 
 Only O2 needs the frequencies and the integration, and a check reads O2
-only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1, which
-reads ``o1`` alone, and reads ``o2`` last. C3 at a later window depends
-only on its index and the last signalled window L, and a check reads O2
-no further back than S windows. S never exceeds the bound b of
-``sgdp.suffix_bound``: 1 on the parity of d that swaps the ratio, so
-S = 1 until the next signal, and floor(log10(max(maximum, 100)))
-otherwise. So a check can read window W only if W + b > L + 10. Every
-window with a non-empty graph appends ``None`` to ``o2`` first. Just
-before a check reads ``o2``, every placeholder among the S + 1 windows it
-reads is filled: the current window draws from the live RNG, and earlier
-ones are rebuilt (``rebuild_o2``). After the check, a readable window
-still unfilled draws and integrates from the live RNG only if one of the
-b - 1 readable windows before it holds a placeholder. Otherwise it
-records what rebuilding its O2 would take and advances the RNG exactly
-as its draws would. So with b = 1 no window integrates ahead of its
-check, with b = 2 readable windows alternate, and while b holds a check
-reads at most one placeholder besides its own window and integrates at
-most twice; only a grown b reaches further. O1 is recomputed whenever
-the graph grew, from the sines and cosines the graph takes as it writes
-each phase, so ``o1`` holds a value for every window.
+only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1 (``o1``
+alone), and reads ``o2`` last, at most S windows back. S never exceeds
+the bound b of ``sgdp.suffix_bound`` (1 on the parity of d that swaps the
+ratio, floor(log10(max(maximum, 100))) otherwise), so with L the last
+signalled window a check can read window W only if W + b > L + 10. A
+window with a non-empty graph appends ``None`` to ``o2``, and every
+window records its graph's size and the frequencies drawn before it, from
+which ``rebuild_o2`` computes its O2 at any time. A check fills the
+placeholders it reads, its own window last. After the check, a readable
+window still unfilled is filled only if one of the b - 1 readable windows
+before it holds a placeholder. So with b = 1 no window integrates ahead
+of its check, with b = 2 readable windows alternate, and while b holds a
+check integrates at most twice. O1 is recomputed whenever the graph grew,
+from the sines and cosines the graph takes as it writes each phase.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from statistics import fmean
 
 from .butterfly import BipartiteWindow, young_timestamps
 from .sgdp import check_variant, suffix_bound, suffix_size
 from .signals import DriftSignal, now_ms
 from .stream_model import BurstProfile, SGR, ingest
-from .uwgo import (OscillatorGraph, assign_phases, order_parameter, project, rk4_step,
-                  skip_frequencies)
+from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_step
 
-# Uniforms skipped per getrandbits call when rebuild_o2 replays the RNG.
-# Replaying this many costs about as much as copying an RNG's state, so a
-# replay RNG that lags further is brought up by a copy instead.
+# Uniforms skipped per getrandbits call when an RNG cursor seeks ahead:
+# about the cost of copying an RNG's state, so a cursor that lags an
+# unfilled window by more draws is brought up to it by a copy instead.
 REPLAY_CHUNK = 1 << 12
 
 
@@ -76,6 +71,8 @@ class SgddConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.x <= 1.0:
             raise ValueError("youth fraction x must be in (0, 1]")
+        if not math.isfinite(self.sigma):
+            raise ValueError("frequency spread sigma must be finite")
         check_variant(self.variant)
 
 
@@ -83,15 +80,11 @@ class SgddConfig:
 class SgddState:
     """Detector state for one stream.
 
-    ``o2`` holds ``None`` for a skipped window. ``skipped`` maps its index
-    in ``o2`` to ``(V, E, uniforms, gauss_next)``: the graph's vertex and
-    edge counts, the uniforms drawn since ``rng_start`` before its draws,
-    and the ``gauss_next`` value the RNG carried into them. ``rng_start``
-    is the RNG's state when the detector was created. ``replay`` is a
-    second RNG that trails ``rng`` and has drawn ``replay_at`` uniforms
-    since then: it ends where the last window rebuilt from it ends, or it
-    was set to the start of a skipped window that the next check can read
-    because it lagged by more than ``REPLAY_CHUNK`` uniforms.
+    ``o2`` holds ``None`` for a window whose O2 nothing has read yet.
+    ``sizes`` holds ``(V, E, G)`` per closed window: its graph's vertex and
+    edge counts and ``drawn``, the frequencies drawn before it. ``cursors``
+    holds two ``[rng, at]``: an RNG seeded with ``config.seed`` that has
+    made ``at`` Gaussian draws.
     """
 
     config: SgddConfig = field(default_factory=SgddConfig)
@@ -102,20 +95,12 @@ class SgddState:
     o2: list[float | None] = field(default_factory=list)
     drift_windows: list[int] = field(default_factory=lambda: [0])
     t: int = 0
-    rng: random.Random = None  # type: ignore[assignment]
-    skipped: dict[int, tuple[int, int, int, float | None]] = field(
-        default_factory=dict, init=False)
-    uniforms: int = field(default=0, init=False)
-    rng_start: tuple = field(init=False, repr=False)
-    replay: random.Random = field(init=False, repr=False)
-    replay_at: int = field(default=0, init=False)
+    sizes: list[tuple[int, int, int]] = field(default_factory=list, init=False)
+    drawn: int = field(default=0, init=False)
+    cursors: list[list] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rng is None:
-            self.rng = random.Random(self.config.seed)
-        self.rng_start = self.rng.getstate()
-        self.replay = random.Random()
-        self.replay.setstate(self.rng_start)
+        self.cursors = [[random.Random(self.config.seed), 0] for _ in range(2)]
 
 
 def sprime_length(s: int, d: int) -> int:
@@ -171,39 +156,58 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float],
 
 
 def rebuild_o2(state: SgddState, index: int) -> float:
-    """Compute the O2 of a skipped window, store it at ``state.o2[index]`` and return it.
+    """Compute window ``index``'s O2, store it at ``state.o2[index]`` and return it.
 
-    The graph as it stood then is the live graph if it still has V
-    vertices and E edges, and ``graph.prefix(V, E)`` otherwise. Its
-    frequencies are drawn from ``state.replay`` advanced past the uniforms
-    drawn before that window, or, if ``replay`` has already passed them,
-    from a fresh RNG set to ``rng_start``. Either carries the same
-    ``gauss_next``, so every draw, and with it the value, is the one the
-    window would have made.
+    Every window's O2 is computed here, from the graph as it stood then
+    (the live graph, or ``graph.prefix(V, E)`` if it has grown since) and
+    the Gaussian draws G to G + V of an RNG seeded with ``config.seed``:
+    the cursor furthest along that has not passed G seeks to it, or a
+    fresh RNG does if both have. A seek that passes an unfilled window just
+    before this one copies its state there to the other cursor if that
+    lags it by more than ``REPLAY_CHUNK`` draws.
     """
-    n, m, uniforms, carried = state.skipped.pop(index)
+    n, m, g = state.sizes[index]
     graph = state.graph
     if n != len(graph) or m != graph.edge_count():
         graph = graph.prefix(n, m)
-    rng, at = state.replay, state.replay_at
-    if uniforms < at:
-        rng, at = random.Random(), 0
-        rng.setstate(state.rng_start)
-    for done in range(at, uniforms, REPLAY_CHUNK):
-        rng.getrandbits(64 * min(REPLAY_CHUNK, uniforms - done))
-    rng.gauss_next = carried
-    value, drawn = _integrate(graph, rng, state.config.sigma)
-    if rng is state.replay:
-        state.replay_at = uniforms + drawn
-    state.o2[index] = value
+    cursor = max((c for c in state.cursors if c[1] <= g), key=itemgetter(1),
+                 default=None) or [random.Random(state.config.seed), 0]
+    rng, at = cursor
+    if index and state.o2[index - 1] is None:
+        start = state.sizes[index - 1][2]
+        for other in state.cursors:
+            if at <= start and other[1] < start - REPLAY_CHUNK and other is not cursor:
+                _seek(rng, at, start)
+                at = other[1] = start
+                other[0].setstate(rng.getstate())
+    _seek(rng, at, g)
+    value = state.o2[index] = _integrate(graph, rng, state.config.sigma)
+    cursor[1] = g + n
     return value
 
 
-def _integrate(graph: OscillatorGraph, rng: random.Random, sigma: float) -> tuple[float, int]:
-    """O2 of ``graph`` with frequencies drawn from ``rng``, and the uniforms drawn."""
-    drawn = assign_phases(graph, rng, sigma)
+def _seek(rng: random.Random, at: int, g: int) -> None:
+    """Bring ``rng`` from ``at`` Gaussian draws since its seeding to ``g >= at``.
+
+    After g draws ``Random.gauss`` has taken g + g % 2 uniforms, two 32-bit
+    words each, and holds ``gauss_next`` iff g is odd: so skip the whole
+    pairs, then draw an odd g's last pair for real.
+    """
+    if g == at:
+        return
+    skip = g - g % 2 - at - at % 2
+    for done in range(0, skip, REPLAY_CHUNK):
+        rng.getrandbits(64 * min(REPLAY_CHUNK, skip - done))
+    rng.gauss_next = None
+    if g % 2:
+        rng.gauss(0.0, 1.0)
+
+
+def _integrate(graph: OscillatorGraph, rng: random.Random, sigma: float) -> float:
+    """O2 of ``graph`` with frequencies drawn from ``rng``."""
+    assign_phases(graph, rng, sigma)
     delta = rk4_step(graph)
-    return order_parameter([delta[v] for v in graph.order]), drawn
+    return order_parameter([delta[v] for v in graph.order])
 
 
 def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
@@ -235,36 +239,23 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     drift_windows, variant = state.drift_windows, state.config.variant
     bound = suffix_bound(profile.maximum, len(drift_windows), variant)
     o2.append(None if graph.vertices else 0.0)
-
-    def draw() -> None:
-        # This window's draws are still ahead of the live RNG.
-        o2[-1], drawn = _integrate(graph, state.rng, state.config.sigma)
-        state.uniforms += drawn
+    state.sizes.append((len(graph), graph.edge_count(), state.drawn))
+    state.drawn += len(graph)
 
     def fill(first: int, stop: int) -> None:
-        if o2[-1] is None:
-            draw()
         for k in range(first, stop):
             if o2[k] is None:
                 rebuild_o2(state, k)
 
     signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
                            drift_windows, variant, fill)
-    if o2[-1] is None:
-        # A check reads at most ``bound`` windows before its own; filling
-        # this one when a readable window among the bound - 1 before it is
-        # unfilled leaves no check more than one placeholder to rebuild.
-        readable = drift_windows[-1] + 11 - bound
-        if window >= readable and None in o2[max(window - bound, readable - 1, 0):-1]:
-            draw()
-        else:
-            state.skipped[window - 1] = (len(graph), graph.edge_count(), state.uniforms,
-                                         state.rng.gauss_next)
-            if window >= readable and state.uniforms - state.replay_at > REPLAY_CHUNK:
-                # The next check can read this window: bring the replay RNG up to it.
-                state.replay.setstate(state.rng.getstate())
-                state.replay_at = state.uniforms
-            state.uniforms += skip_frequencies(graph, state.rng)
+    # A check reads at most ``bound`` windows before its own; filling this
+    # one when a readable window among the bound - 1 before it is unfilled
+    # leaves no check more than one placeholder to rebuild.
+    readable = drift_windows[-1] + 11 - bound
+    if (o2[-1] is None and window >= readable
+            and None in o2[max(window - bound, readable - 1, 0):-1]):
+        rebuild_o2(state, window - 1)
     return signal
 
 

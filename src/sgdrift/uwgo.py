@@ -184,7 +184,7 @@ def project(window: BipartiteWindow, graph: OscillatorGraph, young: set[int]) ->
 
 
 def assign_phases(graph: OscillatorGraph, rng: random.Random,
-                  sigma: float = 1.0) -> int:
+                  sigma: float = 1.0) -> None:
     """Resample every vertex's frequency for the next integration step.
 
     Phases need no work here: each is the exact integer sum of neighbour
@@ -201,7 +201,7 @@ def assign_phases(graph: OscillatorGraph, rng: random.Random,
     same arithmetic inline, one pair of vertices per pair of uniforms,
     and leaves the ends to ``gauss`` itself: the first vertex spends a
     value kept from an earlier call, and an unpaired last vertex keeps its
-    sine value for the next one. Returns the number of uniforms drawn.
+    sine value for the next one.
     """
     omega, order, gauss, uniform = graph.omega, graph.order, rng.gauss, rng.random
     cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, TWO_PI
@@ -218,27 +218,6 @@ def assign_phases(graph: OscillatorGraph, rng: random.Random,
         omega[b] = 0.0 + sin(x2pi) * g2rad * sigma
     if stop < len(order):
         omega[order[stop]] = gauss(0.0, sigma)
-        return stop - start + 2
-    return stop - start
-
-
-def skip_frequencies(graph: OscillatorGraph, rng: random.Random) -> int:
-    """Leave ``rng`` exactly as ``assign_phases(graph, rng)`` would, drawing nothing.
-
-    A kept ``gauss_next`` value is spent, and the uniforms of the full
-    pairs go through one ``getrandbits`` call: ``random()`` takes two
-    32-bit words per uniform, four per pair. An unpaired last vertex calls
-    ``rng.gauss`` for real, so ``gauss_next`` keeps the value it would.
-    Returns the number of uniforms ``assign_phases`` would have drawn.
-    """
-    n = len(graph.order)
-    if n and rng.gauss_next is not None:
-        rng.gauss_next = None
-        n -= 1
-    rng.getrandbits(128 * (n // 2))
-    if n % 2:
-        rng.gauss()
-    return n + n % 2
 
 
 def order_parameter(phases) -> float:

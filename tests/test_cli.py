@@ -140,6 +140,10 @@ def test_detect_rejects_removed_sprime_flag(capsys):
 REJECTED_FLAGS = {
     "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
                   "--out", "sig.jsonl"], "sig.jsonl"),
+    "detect-sigma-nan": (["detect", "--mode", "sgdd", "--sigma", "nan", "--input",
+                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+    "detect-sigma-inf": (["detect", "--mode", "both", "--sigma", "inf", "--input",
+                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
     "detect-f-schedule": (["detect", "--mode", "both", "--f-schedule", "1.5",
                            "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
     "eval-repeat-x": (["eval", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",

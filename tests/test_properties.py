@@ -14,15 +14,16 @@ one. On graphs grown by random links, the phase coherence taken from the
 sines cached at each phase write must equal the one taken from the
 phases bit for bit, and the graph as it stood at an earlier size must
 equal the graph replayed to that size. Paired frequency draws are
-checked against one ``Random.gauss`` call per vertex, and the RNG
-advance of a skipped window against those draws. The whole of sgdd,
-which defers the draws and the integration of a window until a check
-that can fire reads its O2, is checked against a literal per-window
-implementation of its module docstring on drawn streams, which must at
-least once rebuild a skipped window of a graph that has grown since, and
-on one golden stream. sgdp's step, which reads its window gate once and
-returns at most one signal, is checked against a step that re-reads the
-gate before every threshold factor and collects every signal in a list.
+checked against one ``Random.gauss`` call per vertex, and an RNG sought
+ahead by a number of draws against that many ``Random.gauss`` calls. The
+whole of sgdd, which defers the draws and the integration of a window
+until a check that can fire reads its O2, is checked against a literal
+per-window implementation of its module docstring on drawn streams,
+which must at least once rebuild a skipped window of a graph that has
+grown since, and on one golden stream. sgdp's step, which reads its
+window gate once and returns at most one signal, is checked against a
+step that re-reads the gate before every threshold factor and collects
+every signal in a list.
 """
 
 import math
@@ -36,13 +37,13 @@ from helpers import (ReferenceProfile, brute_force_butterflies, butterfly_key,
                      reference_sgdp_step, reference_young, rk4_oracle, window_edges)
 from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
-from sgdrift.sgdd import SgddConfig, SgddState, run_sgdd, sgdd_step
+from sgdrift.sgdd import REPLAY_CHUNK, SgddConfig, SgddState, _seek, run_sgdd, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
                           SgdpState, sgdp_step)
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
 from sgdrift.uwgo import (TWO_PI, OscillatorGraph, assign_phases, butterfly_ident,
-                          order_parameter, rk4_step, skip_frequencies)
+                          order_parameter, rk4_step)
 from test_golden import SGDD_GOLDEN
 
 # Runs of one timestamp (bursts), drawn from a small range so that values
@@ -296,22 +297,22 @@ def test_assign_phases_pairs_match_gauss_loop(seed, calls):
         assert paired.getstate() == looped.getstate()
 
 
-def test_skip_frequencies_leaves_rng_as_assign_phases():
-    for n in range(61):
-        for carried in (False, True):
-            drawn, skipped, replayed = random.Random(n), random.Random(n), random.Random(n)
-            if carried:
-                drawn.gauss()
-                skipped.gauss()
-            graph = _graph_of_size(n)
-            uniforms = assign_phases(graph, drawn)
-            assert skip_frequencies(graph, skipped) == uniforms
-            assert skipped.getstate() == drawn.getstate()
-            # Both count the uniforms drawn: skipping that many (and the
-            # carried gauss call's two) reaches the same state.
-            replayed.getrandbits(64 * (2 * carried + uniforms))
-            replayed.gauss_next = drawn.gauss_next
-            assert replayed.getstate() == drawn.getstate()
+def _gaussed(seed: int, draws: int) -> random.Random:
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.gauss(0.0, 1.0)
+    return rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 40),
+       st.one_of(st.integers(0, 40), st.integers(REPLAY_CHUNK, 3 * REPLAY_CHUNK)))
+@example(seed=0, at=7, ahead=0)  # at == g with g odd: a careless seek draws a pair
+def test_seek_leaves_rng_as_plain_gauss_draws(seed, at, ahead):
+    # Both parities of at and of g, and seeks of several getrandbits chunks.
+    rng = _gaussed(seed, at)
+    _seek(rng, at, at + ahead)
+    assert rng.getstate() == _gaussed(seed, at + ahead).getstate()
 
 
 # Bursts of a drifting detector stream: how far back from a running

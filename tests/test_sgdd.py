@@ -2,6 +2,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -232,6 +233,32 @@ def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, varian
     assert [o2[k] for k in rebuilt] == [unskipped[k] for k in rebuilt]
 
 
+@pytest.mark.parametrize("pattern,seed,variant", [
+    *((pattern, seed, "default") for pattern, seed in sorted(SGDD_GOLDEN)),
+    ("gradual", 3, "appendix")])
+def test_no_step_integrates_more_than_twice_while_s_is_at_most_two(
+        monkeypatch, pattern, seed, variant):
+    # Where the bound on S stays at most 2, a check reads at most one
+    # placeholder besides its own window, and a window integrates after its
+    # check only if it was not read in it.
+    records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
+                          DriftSchedule.make(pattern, 500), 3000)
+    bounds, calls = [], []
+    bound, integrate = sgdd.suffix_bound, sgdd._integrate
+    monkeypatch.setattr(sgdd, "suffix_bound",
+                        lambda *args: bounds.append(bound(*args)) or bounds[-1])
+    monkeypatch.setattr(sgdd, "_integrate",
+                        lambda *args: calls.append(None) or integrate(*args))
+    state = SgddState(config=SgddConfig(seed=seed, variant=variant))
+    per_step = []
+    for r in records:
+        sgdd_step(state, r)
+        per_step.append(len(calls))
+        calls.clear()
+    assert max(bounds) <= 2
+    assert max(per_step) == 2
+
+
 def _saturated_stream(big_tau: int) -> list[SGR]:
     """Bursts of the complete 3 x 3 window, one timestamp each; the burst at
     ``big_tau`` sends its first edge 1,000 more times."""
@@ -246,41 +273,49 @@ def _saturated_stream(big_tau: int) -> list[SGR]:
 
 
 def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
-    # Seed 0 signals at windows 11, 22, 33, ... Where the bound on S is 2
-    # (d = 1 and d = 3), the readable windows alternate: the first skips,
-    # the next integrates, so the S = 2 check at window 11 rebuilds window
-    # 9. The burst at timestamp 32 opens with the record that closes
-    # window 30, so the largest burst reaches 1,000 only after window 30
-    # was skipped as unreadable under S <= 2. At window 33, d = 3 gives
-    # S = 3, and the check reads window 30. At d = 2 (windows 12-22) and
-    # d = 4 (windows 34-44) the bound on S is 1, so every window skips: the
-    # S = 1 checks at windows 22 and 44 read windows 21 and 43 through
-    # rebuild_o2 and draw their own window's frequencies from the live
-    # RNG. At d = 5 the bound is 3: window 52 skips, 53 and 54 integrate,
-    # and the S = 3 check at window 55 rebuilds window 52.
+    # Seed 0 signals at windows 11, 22, 33, ... In parentheses, the
+    # rebuild_o2 calls by o2 index, which is w - 1 for window w.
+    # Where the bound on S is 2 (d = 1 and d = 3), the readable windows
+    # alternate: window 9 skips, window 10 integrates after its check (9),
+    # and the S = 2 check at window 11 rebuilds window 9 and integrates its
+    # own (8, 10). At d = 2 (windows 12-22) and d = 4 (windows 34-44) the
+    # bound on S is 1, so every window skips, and the S = 1 checks at
+    # windows 22 and 44 integrate the window before and their own (20, 21
+    # and 42, 43). The burst at timestamp 32 opens with the record that
+    # closes window 30, so the largest burst reaches 1,000 only after
+    # window 30 was skipped as unreadable under S <= 2. The bound is then
+    # 3: windows 31 and 32 integrate after their checks (30, 31), and at
+    # window 33, d = 3 gives S = 3, so the check rebuilds window 30 and
+    # integrates its own (29, 32). At d = 5 the bound is 3 again: window 52
+    # skips, 53 and 54 integrate, and the S = 3 check at window 55 rebuilds
+    # window 52 (52, 53, 51, 54).
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
-    assert rebuilt == [8, 20, 29, 42, 51]
+    assert rebuilt == [9, 8, 10, 20, 21, 30, 31, 29, 32, 42, 43, 52, 53, 51, 54]
     expected, reference_o2 = _reference_run(records, config)
     assert [o2[k] for k in rebuilt] == [reference_o2[k] for k in rebuilt]
     assert [s.params["S"] for s in signals if s.window == 33] == [3]
     assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
 
 
-def test_every_placeholder_rebuilds_in_any_order():
-    # Newest first: the first rebuild advances the trailing replay RNG past
-    # every other placeholder, which must then replay from rng_start.
+def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
+    # Newest first: the first two rebuilds take both RNG cursors past every
+    # other placeholder, which must each start a fresh RNG from the seed.
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
     state = SgddState(config=config)
     for r in records:
         sgdd_step(state, r)
-    pending = sorted(state.skipped, reverse=True)
+    pending = [k for k, value in enumerate(state.o2) if value is None][::-1]
     assert len(pending) > 30
     _, reference_o2 = _reference_run(records, config)
+    fresh = []
+    monkeypatch.setattr(sgdd, "random", SimpleNamespace(
+        Random=lambda seed: fresh.append(seed) or random.Random(seed)))
     assert [rebuild_o2(state, k) for k in pending] == [reference_o2[k] for k in pending]
-    assert None not in state.o2 and not state.skipped
+    assert None not in state.o2
+    assert fresh == [config.seed] * (len(pending) - 2)
 
 
 def _isolated_butterflies_stream() -> list[SGR]:
@@ -323,20 +358,25 @@ def _check_s1_rebuild(monkeypatch, records):
 
 def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
     # The complete 3 x 3 window re-derives the same butterflies every
-    # window, so the graph stops growing at window 3. At d = 2 every window
-    # skips, and the check at window 22 integrates the live graph for
-    # window 21 as well as for its own window. The S = 2 checks at windows
-    # 11, 33 and 55 rebuild the first readable window before them, which
-    # skipped.
+    # window, so the graph stops growing at window 3. At d = 2 and d = 4
+    # every window skips, and the checks at windows 22 and 44 integrate the
+    # live graph for the window before as well as for their own (20, 21
+    # and 42, 43). Where the bound on S is 2, the readable windows
+    # alternate, so the S = 2 checks at windows 11, 33 and 55 follow a
+    # window that integrated after its check (9, 31, 53), rebuild the
+    # first readable window before them, which skipped (8, 30, 52), and
+    # integrate their own (10, 32, 54).
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, _saturated_stream(big_tau=0))
-    assert rebuilt == [8, 20, 30, 42, 52]
+    assert rebuilt == [9, 8, 10, 20, 21, 31, 30, 32, 42, 43, 53, 52, 54]
     assert prefixes == []
 
 
 def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     # Here the graph grows by one vertex every window, so window 21's graph
     # is one vertex short of the live one and is rebuilt through prefix, as
-    # are windows 9 and 31, which the S = 2 checks at windows 11 and 33 read.
+    # are windows 9 and 31, which the S = 2 checks at windows 11 and 33 read
+    # (8, 20, 30). Every other window integrates while its graph is the
+    # live one: after its own check (9, 31) or in it (10, 21, 32).
     records = _isolated_butterflies_stream()
     state = SgddState()
     for r in records:
@@ -344,7 +384,7 @@ def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     # Windows 1 and 2 close on an empty graph; window w holds w - 2 vertices.
     assert set(state.o1[2:]) == {1.0} and state.graph.edge_count() == 0
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
-    assert rebuilt == [8, 20, 30]
+    assert rebuilt == [9, 8, 10, 20, 21, 31, 30, 32]
     assert prefixes == [(7, 0), (19, 0), (29, 0)]
 
 
@@ -412,6 +452,14 @@ def test_series_lengths_track_window_counter():
 def test_config_validation():
     with pytest.raises(ValueError):
         SgddConfig(x=0.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_sigma(sigma):
+    # A NaN spread makes every O2 NaN, so C2 never holds and nothing
+    # fires; an infinite one fails in the integration, mid-stream.
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        SgddConfig(sigma=sigma)
 
 
 def test_config_rejects_unknown_variant_like_sgdp():
