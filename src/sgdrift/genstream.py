@@ -63,8 +63,8 @@ class GeneratorConfig:
             raise ValueError("walk range must satisfy 1 <= l_min <= l_max")
         if self.beta < 1 or self.m < 1:
             raise ValueError("beta and m must be positive")
-        if self.prefix_len < 0:
-            raise ValueError("prefix_len must be non-negative")
+        if self.prefix_len < 0 or self.seed < 0:  # Random(-s) seeds like Random(s)
+            raise ValueError("prefix_len and seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ detections accumulate. The raw (1-d)*S reading of S' is not offered: it is
 at most 0 for every d >= 1, so the O1 suffix would be empty, C1 could
 never hold and the detector would never signal.
 
+C1 caps sgdd at 321 signals: from alpha = d + 2 of about 16 on its
+tolerance is below O1's float resolution, so it holds only by exact
+equality, and at d = 322 ``10.0 ** -324 == 0.0``, so it never holds again
+(an 80k-record gradual stream gets its last signal at t = 29,717).
+
 Windows that close while the graph is still empty record 0 for O1 and O2
 (the graph only grows, so every earlier window was empty too), so both
 series hold one value per closed window and their length is the window
@@ -52,7 +57,8 @@ from statistics import fmean
 from .butterfly import BipartiteWindow, young_timestamps
 from .sgdp import check_variant, suffix_bound, suffix_size
 from .signals import DriftSignal, now_ms
-from .stream_model import BurstProfile, SGR, ingest
+# Imported under this name, which perfbench/tracer.py wraps.
+from .stream_model import BurstProfile, SGR, ingest_timestamp as ingest
 from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_step
 
 # Uniforms skipped per getrandbits call when an RNG cursor seeks ahead:
@@ -73,12 +79,14 @@ class SgddConfig:
             raise ValueError("youth fraction x must be in (0, 1]")
         if not math.isfinite(self.sigma):
             raise ValueError("frequency spread sigma must be finite")
+        if self.seed < 0:  # Random(-s) seeds like Random(s)
+            raise ValueError("seed must be non-negative")
         check_variant(self.variant)
 
 
 @dataclass
 class SgddState:
-    """Detector state for one stream.
+    """Detector state for one stream, built from its config alone.
 
     ``o2`` holds ``None`` for a window whose O2 nothing has read yet.
     ``sizes`` holds ``(V, E, G)`` per closed window: its graph's vertex and
@@ -88,13 +96,13 @@ class SgddState:
     """
 
     config: SgddConfig = field(default_factory=SgddConfig)
-    profile: BurstProfile = field(default_factory=BurstProfile)
-    window_graph: BipartiteWindow = field(default_factory=BipartiteWindow)
-    graph: OscillatorGraph = field(default_factory=OscillatorGraph)
-    o1: list[float] = field(default_factory=list)
-    o2: list[float | None] = field(default_factory=list)
-    drift_windows: list[int] = field(default_factory=lambda: [0])
-    t: int = 0
+    profile: BurstProfile = field(default_factory=BurstProfile, init=False)
+    window_graph: BipartiteWindow = field(default_factory=BipartiteWindow, init=False)
+    graph: OscillatorGraph = field(default_factory=OscillatorGraph, init=False)
+    o1: list[float] = field(default_factory=list, init=False)
+    o2: list[float | None] = field(default_factory=list, init=False)
+    drift_windows: list[int] = field(default_factory=lambda: [0], init=False)
+    t: int = field(default=0, init=False)
     sizes: list[tuple[int, int, int]] = field(default_factory=list, init=False)
     drawn: int = field(default=0, init=False)
     cursors: list[list] = field(init=False, repr=False)
@@ -164,7 +172,9 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     the cursor furthest along that has not passed G seeks to it, or a
     fresh RNG does if both have. A seek that passes an unfilled window just
     before this one copies its state there to the other cursor if that
-    lags it by more than ``REPLAY_CHUNK`` draws.
+    lags it by more than ``REPLAY_CHUNK`` draws. A fresh RNG seeks from draw
+    0, O(G) uniforms, so rebuilding newest first is quadratic in the stream.
+    ``sgdd_step`` fills oldest first; it started no fresh RNG on 25 streams.
     """
     n, m, g = state.sizes[index]
     graph = state.graph
@@ -181,7 +191,9 @@ def rebuild_o2(state: SgddState, index: int) -> float:
                 at = other[1] = start
                 other[0].setstate(rng.getstate())
     _seek(rng, at, g)
-    value = state.o2[index] = _integrate(graph, rng, state.config.sigma)
+    assign_phases(graph, rng, state.config.sigma)
+    delta = rk4_step(graph)
+    value = state.o2[index] = order_parameter([delta[v] for v in graph.order])
     cursor[1] = g + n
     return value
 
@@ -203,13 +215,6 @@ def _seek(rng: random.Random, at: int, g: int) -> None:
         rng.gauss(0.0, 1.0)
 
 
-def _integrate(graph: OscillatorGraph, rng: random.Random, sigma: float) -> float:
-    """O2 of ``graph`` with frequencies drawn from ``rng``."""
-    assign_phases(graph, rng, sigma)
-    delta = rk4_step(graph)
-    return order_parameter([delta[v] for v in graph.order])
-
-
 def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     """Advance the detector by one record.
 
@@ -219,7 +224,7 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     participates in the young suffix.
     """
     state.t += 1
-    starts_window = ingest(state.profile, r)
+    starts_window = ingest(state.profile, r.tau)
     window_graph = state.window_graph
     window_graph.add(r.i, r.j, r.tau)
     if not starts_window:

@@ -103,7 +103,7 @@ class SgdpConfig:
 
 @dataclass
 class SgdpState:
-    """Predictor state for one stream.
+    """Predictor state for one stream, built from its config alone.
 
     ``series`` holds one average burst size per window as a packed array of
     doubles, 8 bytes a window instead of a list's pointer plus float object;
@@ -111,24 +111,25 @@ class SgdpState:
     """
 
     config: SgdpConfig = field(default_factory=SgdpConfig)
-    profile: BurstProfile = field(default_factory=BurstProfile)
-    series: array = field(default_factory=lambda: array("d"))
-    drift_windows: list[int] = field(default_factory=lambda: [0])
-    t: int = 0
+    profile: BurstProfile = field(default_factory=BurstProfile, init=False)
+    series: array = field(default_factory=lambda: array("d"), init=False)
+    drift_windows: list[int] = field(default_factory=lambda: [0], init=False)
+    t: int = field(default=0, init=False)
 
 
 def cds_bursts(maximum: float, series: Sequence[float], t: int, drift_windows: list[int],
-               f: float, variant: str = "default") -> DriftSignal | None:
-    """Drift check over the burst-size series for one threshold factor.
+               f_schedule: Sequence[float], variant: str = "default") -> DriftSignal | None:
+    """Drift check over the burst-size series, one call per window.
 
     The series holds one average per window, so its length is the current
     window's index and its newest element, appended by the caller just
     before the check, is the current average; the examined suffix is the S
     values that precede it. Counts how many suffix elements are strictly
     greater and strictly less than the current average (ties count toward
-    neither). If either count reaches ceil(S * f) a signal is emitted and
-    the window is appended to the drift log. Fewer than S preceding values
-    is insufficient evidence, not an error.
+    neither), then tries ``f_schedule`` in order: the first factor whose
+    ceil(S * f) a count reaches emits the signal, and the window is
+    appended to the drift log. Fewer than S preceding values is
+    insufficient evidence, not an error.
     """
     average = series[-1]
     window = len(series)
@@ -139,14 +140,16 @@ def cds_bursts(maximum: float, series: Sequence[float], t: int, drift_windows: l
     suffix = series[-s - 1:-1]
     greater = sum(1 for x in suffix if x > average)
     less = sum(1 for x in suffix if x < average)
-    threshold = count_threshold(s, f)
-    if greater >= threshold or less >= threshold:
-        drift_windows.append(window)
-        return DriftSignal(
-            mode="sgdp", t=t, window=window, wall_ms=now_ms(),
-            params={"f": f, "S": s, "threshold": threshold,
-                    "greater": greater, "less": less, "average": average},
-        )
+    hits = max(greater, less)
+    for f in f_schedule:
+        threshold = count_threshold(s, f)
+        if hits >= threshold:
+            drift_windows.append(window)
+            return DriftSignal(
+                mode="sgdp", t=t, window=window, wall_ms=now_ms(),
+                params={"f": f, "S": s, "threshold": threshold,
+                        "greater": greater, "less": less, "average": average},
+            )
     return None
 
 
@@ -155,8 +158,8 @@ def sgdp_step(state: SgdpState, tau: int) -> DriftSignal | None:
 
     Returns None unless the record starts a window. A window start appends
     the updated average to the series; if the gate W - last_signal_window >
-    average holds, the threshold factors then run the drift check in
-    schedule order and the first signal is returned.
+    average holds, one drift check then tries the threshold factors in
+    schedule order and returns the first signal.
     """
     state.t += 1
     if not ingest_timestamp(state.profile, tau):
@@ -165,12 +168,8 @@ def sgdp_step(state: SgdpState, tau: int) -> DriftSignal | None:
     state.series.append(profile.average)
     if len(state.series) - state.drift_windows[-1] <= profile.average:
         return None
-    for f in state.config.f_schedule:
-        signal = cds_bursts(profile.maximum, state.series, state.t, state.drift_windows,
-                            f, state.config.variant)
-        if signal is not None:
-            return signal
-    return None
+    return cds_bursts(profile.maximum, state.series, state.t, state.drift_windows,
+                      state.config.f_schedule, state.config.variant)
 
 
 def run_sgdp(taus, config: SgdpConfig | None = None) -> list[DriftSignal]:

@@ -42,17 +42,17 @@ class SGR(NamedTuple):
 
 @dataclass
 class BurstProfile:
-    """Online burstiness state, mutated by :func:`ingest`.
+    """Online burstiness state, mutated by :func:`ingest_timestamp`.
 
     ``seen`` maps every timestamp observed to its first-seen rank (0, 1,
     ...); its insertion order is the first-seen order that the
     young-butterfly filter reads. It grows without bound.
     """
 
-    current: int = 1
-    average: float = 0.0
-    maximum: int = 0
-    seen: dict[int, int] = field(default_factory=dict)
+    current: int = field(default=1, init=False)
+    average: float = field(default=0.0, init=False)
+    maximum: int = field(default=0, init=False)
+    seen: dict[int, int] = field(default_factory=dict, init=False)
 
 
 def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
@@ -78,11 +78,6 @@ def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
         profile.maximum = 1
     seen[tau] = closed
     return closed > 1
-
-
-def ingest(profile: BurstProfile, r: SGR) -> bool:
-    """Feed one record to the profile. Only its timestamp is read."""
-    return ingest_timestamp(profile, r.tau)
 
 
 def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:

@@ -13,8 +13,8 @@ from statistics import fmean
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
 from sgdrift.sgdp import SgdpState, cds_bursts
 from sgdrift.signals import DriftSignal
-from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest,
-                                  ingest_timestamp, parse_sgr)
+from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
+                                  parse_sgr)
 from sgdrift.uwgo import STEP, OscillatorGraph
 
 # Worked-example window: solid edges form eight butterflies connected
@@ -351,9 +351,10 @@ def reference_sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
     """The predictor step that collects every signal of a window in a list.
 
     The window gate W - last_signal_window > average is re-read before each
-    threshold factor, and every factor that fires adds its signal.
-    ``sgdp_step``, which reads the gate once and returns the first signal,
-    must give this list's only element, or None where the list is empty.
+    threshold factor, each factor runs its own one-factor check, and every
+    factor that fires adds its signal. ``sgdp_step``, which reads the gate
+    once and makes one check over the whole schedule, must give this list's
+    only element, or None where the list is empty.
     """
     state.t += 1
     if not ingest_timestamp(state.profile, tau):
@@ -364,7 +365,7 @@ def reference_sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
     for f in state.config.f_schedule:
         if len(state.series) - state.drift_windows[-1] > profile.average:
             signal = cds_bursts(profile.maximum, state.series, state.t,
-                                state.drift_windows, f, state.config.variant)
+                                state.drift_windows, (f,), state.config.variant)
             if signal is not None:
                 fired.append(signal)
     return fired
@@ -414,7 +415,7 @@ def reference_sgdd(records, x: float = 0.25, sigma: float = 1.0, seed: int = 0,
     drift = [0]
     signals = []
     for t, r in enumerate(records, start=1):
-        starts = ingest(profile, r)
+        starts = ingest_timestamp(profile, r.tau)
         window.setdefault(r.j, set()).add(r.i)
         last_touch[r.j] = r.tau
         if not starts:

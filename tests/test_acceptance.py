@@ -238,7 +238,7 @@ def test_acceptance_threshold_arithmetic():
         f = rng.choice((1.0, 0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6, 0.5))
         variant = rng.choice(["default", "appendix"])
         expected = _cds_oracle(maximum, average, series, f, d, variant)
-        got = cds_bursts(maximum, series, 9999, list(range(d)), f, variant)
+        got = cds_bursts(maximum, series, 9999, list(range(d)), (f,), variant)
         assert (got is not None) == expected
 
     for _ in range(200):

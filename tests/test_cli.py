@@ -140,6 +140,8 @@ def test_detect_rejects_removed_sprime_flag(capsys):
 REJECTED_FLAGS = {
     "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
                   "--out", "sig.jsonl"], "sig.jsonl"),
+    "detect-seed-negative": (["detect", "--mode", "sgdd", "--seed", "-3", "--input",
+                              "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
     "detect-sigma-nan": (["detect", "--mode", "sgdd", "--sigma", "nan", "--input",
                           "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
     "detect-sigma-inf": (["detect", "--mode", "both", "--sigma", "inf", "--input",
@@ -167,6 +169,9 @@ REJECTED_FLAGS = {
                                     "--out", "."], "report.json"),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "500", "--name", "g", "--out", "."], "g.stream"),
+    "generate-seed-negative": (["generate", "--pattern", "gradual", "--delta", "100",
+                                "--n", "1500", "--seed", "-3", "--name", "g", "--out", "."],
+                               "g.stream"),
     "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
                       "--rho", "1.5", "--name", "g", "--out", "."], "g.stream"),
 }

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from statistics import fmean
 
@@ -147,6 +148,14 @@ def test_config_validation():
         GeneratorConfig(rho=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(l_min=3, l_max=2)
+
+
+def test_config_rejects_negative_seed():
+    # random.Random(-s) seeds like Random(s), so -3 would write seed 3's stream.
+    assert random.Random(-3).random() == random.Random(3).random()
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        GeneratorConfig(seed=-3)
+    assert GeneratorConfig(seed=0).seed == 0
 
 
 # --- files -----------------------------------------------------------------------

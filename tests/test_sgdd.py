@@ -127,6 +127,19 @@ def test_cdc_precision_tightens_with_detections():
     assert cdc_butterfly(100, 10, o1, o2, t=300, drift_windows=[0, 15]) is not None
 
 
+def test_cdc_falls_silent_for_good_after_321_signals():
+    # C1's tolerance 10**-(d+2) is the subnormal 1e-323 at d = 321 and
+    # underflows to 0.0 at d = 322, so once the drift log holds 322 entries
+    # (321 signals) not even a constant O1 passes C1, whatever O2 does.
+    o1 = [0.4] * 340
+    o2 = [0.9] * 339 + [0.1]
+    signal = cdc_butterfly(100, 10, o1, o2, t=1000, drift_windows=list(range(321)))
+    assert signal is not None and signal.params["alpha"] == 323
+    assert signal.params["mu1"] == signal.params["O1"]
+    assert 10.0 ** -324 == 0.0
+    assert cdc_butterfly(100, 10, o1, o2, t=1000, drift_windows=list(range(322))) is None
+
+
 def test_cdc_decisions_match_direct_count_oracle():
     rng = random.Random(321)
     for _ in range(300):
@@ -244,10 +257,10 @@ def test_no_step_integrates_more_than_twice_while_s_is_at_most_two(
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     bounds, calls = [], []
-    bound, integrate = sgdd.suffix_bound, sgdd._integrate
+    bound, integrate = sgdd.suffix_bound, sgdd.rk4_step
     monkeypatch.setattr(sgdd, "suffix_bound",
                         lambda *args: bounds.append(bound(*args)) or bounds[-1])
-    monkeypatch.setattr(sgdd, "_integrate",
+    monkeypatch.setattr(sgdd, "rk4_step",
                         lambda *args: calls.append(None) or integrate(*args))
     state = SgddState(config=SgddConfig(seed=seed, variant=variant))
     per_step = []
@@ -452,6 +465,14 @@ def test_series_lengths_track_window_counter():
 def test_config_validation():
     with pytest.raises(ValueError):
         SgddConfig(x=0.0)
+
+
+def test_config_rejects_negative_seed():
+    # random.Random(-s) seeds like Random(s): two seeds, one frequency stream.
+    assert random.Random(-3).random() == random.Random(3).random()
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SgddConfig(seed=-3)
+    assert SgddConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])

@@ -68,13 +68,13 @@ def test_count_threshold_exact_decimal_arithmetic():
 def test_cds_no_signal_when_series_too_short():
     # maximum=100, average=10, d=1 -> S=2; only one value precedes the
     # current element.
-    assert cds_bursts(100, [5.0, 10.0], 40, [0], 0.3) is None
+    assert cds_bursts(100, [5.0, 10.0], 40, [0], (0.3,)) is None
 
 
 def test_cds_all_greater_fires_at_full_threshold():
     series = [11.0, 12.0, 13.0, 10.0]  # last element is the current average
     drift = [0]
-    signal = cds_bursts(1000, series, 50, drift, 1.0)
+    signal = cds_bursts(1000, series, 50, drift, (1.0,))
     assert signal is not None
     assert signal.params["S"] == 3 and signal.params["greater"] == 3
     assert signal.params["average"] == 10.0
@@ -84,14 +84,28 @@ def test_cds_all_greater_fires_at_full_threshold():
 def test_cds_single_hit_passes_low_factor():
     # S=3 with f=0.3 needs ceil(0.9)=1 hit
     series = [10.0, 10.0, 12.0, 10.0]
-    signal = cds_bursts(1000, series, 70, [0], 0.3)
+    signal = cds_bursts(1000, series, 70, [0], (0.3,))
     assert signal is not None
     assert signal.params["greater"] == 1 and signal.params["threshold"] == 1
 
 
 def test_cds_ties_count_toward_neither():
     series = [10.0, 10.0, 10.0, 10.0]
-    assert cds_bursts(1000, series, 70, [0], 0.3) is None
+    assert cds_bursts(1000, series, 70, [0], (0.3,)) is None
+
+
+def test_cds_tries_the_whole_schedule_in_one_call():
+    # S=3 with one greater value: f=1.0, the schedule's first factor, needs
+    # three hits and fails; f=0.1, its second, needs one and fires. S and
+    # the counts are the factor-free part of the check.
+    series = [10.0, 10.0, 12.0, 10.0]
+    drift = [0]
+    signal = cds_bursts(1000, series, 70, drift, FULL_F_SCHEDULE)
+    assert cds_bursts(1000, series, 70, [0], (1.0,)) is None
+    assert signal.params == cds_bursts(1000, series, 70, [0], (0.1,)).params
+    assert signal.params["f"] == 0.1 and signal.params["threshold"] == 1
+    assert (signal.params["S"], signal.params["greater"], signal.params["less"]) == (3, 1, 0)
+    assert drift == [0, 4]
 
 
 def test_cds_decisions_match_direct_count_oracle():
@@ -107,7 +121,7 @@ def test_cds_decisions_match_direct_count_oracle():
         variant = rng.choice(["default", "appendix"])
         drift = list(range(d))
         expected = _cds_oracle(maximum, average, series, f, d, variant)
-        got = cds_bursts(maximum, series, 999, drift, f, variant)
+        got = cds_bursts(maximum, series, 999, drift, (f,), variant)
         assert (got is not None) == expected
 
 

@@ -4,8 +4,8 @@ from typing import NamedTuple
 import pytest
 
 from helpers import parse_labeled_sgr, segment_bursts
-from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest,
-                                  ingest_timestamp, parse_sgr)
+from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
+                                  parse_sgr)
 
 
 class Event(NamedTuple):
@@ -100,14 +100,6 @@ def test_starts_window_implies_new_timestamp():
     taus = [rng.randint(0, 20) for _ in range(500)]
     _, events = feed(taus)
     assert all(e.new_timestamp for e in events if e.starts_window)
-
-
-def test_ingest_reads_only_tau_via_record():
-    profile1, profile2 = BurstProfile(), BurstProfile()
-    e1 = ingest(profile1, SGR("a", "b", 1.0, 3, 1))
-    e2 = ingest_timestamp(profile2, 3)
-    assert e1 == e2
-    assert profile1 == profile2
 
 
 def test_replay_determinism():
