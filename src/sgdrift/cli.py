@@ -1,8 +1,9 @@
 """Command-line front end: generate, detect, eval.
 
-Every run writes a manifest next to its outputs with every parsed flag
-and the tool version, sufficient to re-run the command bit-identically
-(timing fields excepted). Signals are serialized as JSON lines so
+Every run that writes a file also writes a manifest next to it, with
+every parsed flag and the tool version, sufficient to re-run the command
+bit-identically (timing fields excepted); ``detect --out -`` writes only to
+stdout and so writes no manifest. Signals are serialized as JSON lines so
 downstream consumers can tail them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
@@ -301,23 +302,14 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    commands = {"generate": _cmd_generate, "detect": _cmd_detect, "eval": _cmd_eval}
     try:
-        args = parser.parse_args(argv)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

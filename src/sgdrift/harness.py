@@ -4,9 +4,9 @@ Signals are attributed to the next upcoming drift: for drift i at record
 index c_i the bucket is (c_{i-1}, c_i], and the report carries the record
 count distance from the earliest and latest signal in the bucket to c_i.
 Record-count distances are reproducible across runs; wall-clock distances
-vary, so the repeated-execution protocol aggregates them as mean and
-standard deviation over many runs while hard-failing if the record-count
-distances ever differ between runs.
+vary, so the repeated-execution protocol scores each run once, aggregates
+ms distances as mean and standard deviation over the runs, and hard-fails
+if a run's record-count report (fp included) differs from the first's.
 
 Signals after the last drift are reported separately; when the drift
 interval is known, a trailing signal more than one full interval past the
@@ -16,6 +16,7 @@ false negatives.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
 from statistics import fmean, stdev
 
@@ -86,65 +87,40 @@ def _cell(ms: float | None, sgr: int | None) -> str:
     return f"{ms_part}/{sgr}"
 
 
-def _bucketize(signals: list[DriftSignal],
-               truth: GroundTruth) -> tuple[list[list[DriftSignal]], list[DriftSignal]]:
-    cds = list(truth.cd_indices)
-    buckets: list[list[DriftSignal]] = [[] for _ in cds]
-    trailing: list[DriftSignal] = []
-    previous = 0
-    for signal in signals:
-        if signal.t < previous:
-            raise ValueError("signals must be sorted by record index")
-        previous = signal.t
-    bounds = [0] + cds
-    position = 0
-    for signal in signals:
-        while position < len(cds) and signal.t > bounds[position + 1]:
-            position += 1
-        if position < len(cds):
-            buckets[position].append(signal)
-        else:
-            trailing.append(signal)
-    return buckets, trailing
-
-
 def distances(signals: list[DriftSignal], truth: GroundTruth,
               drift_interval: int | None = None) -> EvalReport:
-    """Score one signal list against ground truth (record counts only)."""
+    """Score one signal list against ground truth (record counts only).
+
+    One pass over the record indices ``ts``: drift c's bucket ends at
+    ``bisect_right(ts, c)``, and the signals past the last bucket trail.
+    """
     check_drift_interval(drift_interval)
-    if not truth.cd_indices:
+    cds = truth.cd_indices
+    if not cds:
         raise ValueError("ground truth is empty, nothing to score")
-    if any(b <= a for a, b in zip(truth.cd_indices, truth.cd_indices[1:])):
+    if any(b <= a for a, b in zip(cds, cds[1:])):
         raise ValueError("ground-truth indices must be strictly increasing")
-    buckets, trailing = _bucketize(signals, truth)
+    ts = [signal.t for signal in signals]
+    if any(b < a for a, b in zip([0, *ts], ts)):
+        raise ValueError("signals must be sorted by record index")
     report = EvalReport()
-    for c, bucket in zip(truth.cd_indices, buckets):
-        cd = CdReport(index=c, count=len(bucket))
-        if bucket:
-            cd.first_t = bucket[0].t
-            cd.last_t = bucket[-1].t
-            cd.d_first = c - cd.first_t
-            cd.d_last = c - cd.last_t
+    lo = 0
+    for c in cds:
+        hi = bisect_right(ts, c, lo)
+        cd = CdReport(index=c, count=hi - lo)
+        if hi > lo:
+            cd.first_t, cd.last_t = ts[lo], ts[hi - 1]
+            cd.d_first, cd.d_last = c - cd.first_t, c - cd.last_t
         else:
             report.false_negatives.append(c)
         report.per_cd.append(cd)
-    last_cd = truth.cd_indices[-1]
-    if trailing:
-        report.after_last = AfterLastReport(
-            count=len(trailing),
-            d_first=trailing[0].t - last_cd,
-            d_last=trailing[-1].t - last_cd,
-        )
+        lo = hi
+    last_cd = cds[-1]
+    if lo < len(ts):
+        report.after_last = AfterLastReport(len(ts) - lo, ts[lo] - last_cd, ts[-1] - last_cd)
     if drift_interval is not None:
-        report.false_positives = sum(1 for s in trailing
-                                     if s.t > last_cd + drift_interval)
+        report.false_positives = len(ts) - bisect_right(ts, last_cd + drift_interval, lo)
     return report
-
-
-def _sgr_fingerprint(report: EvalReport) -> tuple:
-    per_cd = tuple((cd.index, cd.count, cd.first_t, cd.last_t) for cd in report.per_cd)
-    return (per_cd, tuple(report.false_negatives),
-            (report.after_last.count, report.after_last.d_first, report.after_last.d_last))
 
 
 def check_drift_interval(drift_interval: int | None) -> None:
@@ -168,8 +144,8 @@ def repeated_timing(runner, truth: GroundTruth, runs: int, batches: int,
     each preceded by one discarded warmup pass to absorb caching effects,
     so ``runner`` is called ``runs + batches`` times in all.
 
-    Record-count distances must be identical across all runs; a mismatch
-    raises :class:`DeterminismError`.
+    Each run is scored once, by :func:`distances`; a run whose record-count
+    report (fp included) differs from the first run's raises :class:`DeterminismError`.
     """
     check_runs(runs, batches)
     check_drift_interval(drift_interval)
@@ -184,14 +160,15 @@ def repeated_timing(runner, truth: GroundTruth, runs: int, batches: int,
             report = distances(signals, truth, drift_interval)
             if reference is None:
                 reference = report
-            elif _sgr_fingerprint(report) != _sgr_fingerprint(reference):
+            elif report != reference:  # the ms fields are still None on both
                 raise DeterminismError(
                     "record-count distances changed between repeated runs")
-            buckets, _ = _bucketize(signals, truth)
-            for k, bucket in enumerate(buckets):
-                if bucket:
-                    ms_first[k].append(cd_wall_ms[k] - bucket[0].wall_ms)
-                    ms_last[k].append(cd_wall_ms[k] - bucket[-1].wall_ms)
+            ts = [signal.t for signal in signals]
+            for k, cd in enumerate(report.per_cd):
+                if cd.count:  # the signals of one record index share a bucket
+                    first, last = bisect_left(ts, cd.first_t), bisect_right(ts, cd.last_t) - 1
+                    ms_first[k].append(cd_wall_ms[k] - signals[first].wall_ms)
+                    ms_last[k].append(cd_wall_ms[k] - signals[last].wall_ms)
     assert reference is not None
     for k, cd in enumerate(reference.per_cd):
         if ms_first[k]:

@@ -54,8 +54,8 @@ class DriftSignal:
         """Parse one line of :meth:`to_json`; a malformed line is a ``ValueError``."""
         obj = json.loads(line)
         if not (isinstance(obj, dict) and isinstance(obj.get("mode"), str)
-                and all(type(obj.get(key)) is int for key in ("t", "W"))):
-            raise ValueError(f"expected an object with a string mode and integer t and W, "
-                             f"got {line!r}")
+                and all(type(obj.get(key)) is int and obj[key] >= 1 for key in ("t", "W"))):
+            raise ValueError(f"expected an object with a string mode and integer t and W >= 1 "
+                             f"(records and windows count from 1), got {line!r}")
         return cls(mode=obj["mode"], t=obj["t"], window=obj["W"],
                    wall_ms=obj.get("wall_ms", 0.0), params=obj.get("params", {}))

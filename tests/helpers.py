@@ -11,6 +11,8 @@ from itertools import combinations
 from statistics import fmean
 
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
+from sgdrift.genstream import GroundTruth
+from sgdrift.harness import AfterLastReport, CdReport, EvalReport
 from sgdrift.sgdp import SgdpState, cds_bursts
 from sgdrift.signals import DriftSignal
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
@@ -469,3 +471,60 @@ def reference_sgdd(records, x: float = 0.25, sigma: float = 1.0, seed: int = 0,
                 params={"alpha": d + 2, "S": s, "S_prime": sprime, "mu1": mu1,
                         "more": more, "less": less, "O1": o1[w - 1], "O2": o2[w - 1]}))
     return signals, o1, o2
+
+
+def _reference_bucketize(signals: list[DriftSignal], truth: GroundTruth
+                         ) -> tuple[list[list[DriftSignal]], list[DriftSignal]]:
+    """Per-drift signal lists by a literal walk: drift i takes (c_{i-1}, c_i]."""
+    cds = list(truth.cd_indices)
+    buckets: list[list[DriftSignal]] = [[] for _ in cds]
+    trailing: list[DriftSignal] = []
+    previous = 0
+    for signal in signals:
+        if signal.t < previous:
+            raise ValueError("signals must be sorted by record index")
+        previous = signal.t
+    bounds = [0] + cds
+    position = 0
+    for signal in signals:
+        while position < len(cds) and signal.t > bounds[position + 1]:
+            position += 1
+        if position < len(cds):
+            buckets[position].append(signal)
+        else:
+            trailing.append(signal)
+    return buckets, trailing
+
+
+def reference_distances(signals: list[DriftSignal], truth: GroundTruth,
+                        drift_interval: int | None = None) -> EvalReport:
+    """``harness.distances`` built from per-drift bucket lists, the oracle it must match."""
+    if drift_interval is not None and drift_interval <= 0:
+        raise ValueError("drift interval must be positive")
+    if not truth.cd_indices:
+        raise ValueError("ground truth is empty, nothing to score")
+    if any(b <= a for a, b in zip(truth.cd_indices, truth.cd_indices[1:])):
+        raise ValueError("ground-truth indices must be strictly increasing")
+    buckets, trailing = _reference_bucketize(signals, truth)
+    report = EvalReport()
+    for c, bucket in zip(truth.cd_indices, buckets):
+        cd = CdReport(index=c, count=len(bucket))
+        if bucket:
+            cd.first_t = bucket[0].t
+            cd.last_t = bucket[-1].t
+            cd.d_first = c - cd.first_t
+            cd.d_last = c - cd.last_t
+        else:
+            report.false_negatives.append(c)
+        report.per_cd.append(cd)
+    last_cd = truth.cd_indices[-1]
+    if trailing:
+        report.after_last = AfterLastReport(
+            count=len(trailing),
+            d_first=trailing[0].t - last_cd,
+            d_last=trailing[-1].t - last_cd,
+        )
+    if drift_interval is not None:
+        report.false_positives = sum(1 for s in trailing
+                                     if s.t > last_cd + drift_interval)
+    return report

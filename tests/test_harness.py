@@ -171,6 +171,22 @@ def test_nondeterministic_runner_hard_fails():
         repeated_timing(runner, truth, runs=4, batches=1)
 
 
+def test_rerun_that_moves_a_false_positive_hard_fails():
+    # Every bucket keeps its first and last signal and its count; only the
+    # middle trailing signal crosses last drift + interval = 150.
+    truth = GroundTruth((100,), (1,))
+    moved = {"n": 0}
+
+    def run():
+        moved["n"] += 1
+        middle = 160 if moved["n"] == 3 else 140  # call 1 is the batch's warmup
+        signals = [DriftSignal("sgdp", t, t, float(t)) for t in (90, 120, middle, 200)]
+        return signals, [0.0]
+
+    with pytest.raises(DeterminismError):
+        repeated_timing(run, truth, runs=2, batches=1, drift_interval=50)
+
+
 def test_runs_must_divide_into_batches():
     truth = GroundTruth((100,), (1,))
     with pytest.raises(ValueError):

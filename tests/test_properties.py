@@ -23,23 +23,31 @@ which must at least once rebuild a skipped window of a graph that has
 grown since, and on one golden stream. sgdp's step, which reads its
 window gate once and returns at most one signal, is checked against a
 step that re-reads the gate before every threshold factor and collects
-every signal in a list.
+every signal in a list. The scorer, which slices each drift's signals out
+of the record-index list by bisection, is checked against one that walks
+the signals into per-drift bucket lists, on truth and signal lists that
+may be empty, repeat, go negative or come unsorted.
 """
 
 import math
 import random
+from dataclasses import asdict
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ReferenceProfile, brute_force_butterflies, butterfly_key,
-                     reference_ingest, reference_parse_sgr, reference_sgdd,
-                     reference_sgdp_step, reference_young, rk4_oracle, window_edges)
+                     reference_distances, reference_ingest, reference_parse_sgr,
+                     reference_sgdd, reference_sgdp_step, reference_young, rk4_oracle,
+                     window_edges)
 from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
-from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
+from sgdrift.genstream import DriftSchedule, GeneratorConfig, GroundTruth, generate
+from sgdrift.harness import distances
 from sgdrift.sgdd import REPLAY_CHUNK, SgddConfig, SgddState, _seek, run_sgdd, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
                           SgdpState, sgdp_step)
+from sgdrift.signals import DriftSignal
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
 from sgdrift.uwgo import (TWO_PI, OscillatorGraph, assign_phases, butterfly_ident,
@@ -204,6 +212,7 @@ def oscillator_graphs(draw):
     return graph
 
 
+@pytest.mark.libm
 @settings(max_examples=300, deadline=None)
 @given(oscillator_graphs())
 def test_rk4_scatter_add_bit_identical_to_per_vertex_oracle(graph):
@@ -245,6 +254,7 @@ def _grown_graph(data):
     return graph, steps
 
 
+@pytest.mark.libm
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_coherence_from_cached_sines_matches_order_parameter(data):
@@ -257,6 +267,7 @@ def test_coherence_from_cached_sines_matches_order_parameter(data):
     assert _bits(graph.cos_theta) == _bits(map(math.cos, graph.theta))
 
 
+@pytest.mark.libm
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_prefix_matches_the_graph_replayed_to_that_size(data):
@@ -282,6 +293,7 @@ def _graph_of_size(n: int) -> OscillatorGraph:
     return graph
 
 
+@pytest.mark.libm
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.lists(st.tuples(
     st.integers(0, 9), st.one_of(st.sampled_from([1.0, 0.0, 0.5, 2.75, -1.5]),
@@ -304,6 +316,7 @@ def _gaussed(seed: int, draws: int) -> random.Random:
     return rng
 
 
+@pytest.mark.libm
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 40),
        st.one_of(st.integers(0, 40), st.integers(REPLAY_CHUNK, 3 * REPLAY_CHUNK)))
@@ -367,6 +380,7 @@ def _sgdd_matches_reference(bursts, x, variant, seed):
     assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
 
 
+@pytest.mark.libm
 def test_sgdd_matches_reference_detector(monkeypatch):
     # A check that reads a skipped window of a graph that has grown since
     # rebuilds it through prefix; the drawn streams must reach that path.
@@ -378,6 +392,7 @@ def test_sgdd_matches_reference_detector(monkeypatch):
     assert prefixes, "no drawn stream rebuilt a window of a smaller graph"
 
 
+@pytest.mark.libm
 def test_sgdd_matches_reference_detector_on_a_golden_stream():
     records, _ = generate(GeneratorConfig(seed=3, prefix_len=500),
                           DriftSchedule.make("gradual", 500), 3000)
@@ -420,3 +435,24 @@ def test_parse_matches_reference(fields, delimiter, tail):
 def test_blank_line_is_skipped_like_reference(line):
     assert parse_sgr(line, 1) is None
     assert reference_parse_sgr(line, 1) is None
+
+
+def _scored(score, ts, cds, interval):
+    signals = [DriftSignal("sgdp", t, k + 1, float(k)) for k, t in enumerate(ts)]
+    try:
+        return asdict(score(signals, GroundTruth(tuple(cds), tuple(cds)), interval))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+cd_lists = st.lists(st.integers(-5, 60), max_size=6)
+t_lists = st.lists(st.integers(-5, 80), max_size=20)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(t_lists.map(sorted), t_lists),
+       st.one_of(cd_lists.map(lambda cds: sorted(set(cds))), cd_lists),
+       st.one_of(st.none(), st.integers(-3, 30)))
+def test_distances_match_bucket_reference(ts, cds, interval):
+    assert _scored(distances, ts, cds, interval) == \
+        _scored(reference_distances, ts, cds, interval)

@@ -90,6 +90,7 @@ def test_cdc_tests_spacing_before_reading_the_series():
     assert cdc_butterfly(100, 10, o1, [None] * 12, t=100, drift_windows=[5]) is None
 
 
+@pytest.mark.libm
 def test_cdc_tests_steadiness_before_reading_o2():
     # C3 holds but O1 moved, so the O2 suffix, all placeholders, is never
     # read, and neither is the hook that would fill it.
@@ -369,6 +370,7 @@ def _check_s1_rebuild(monkeypatch, records):
     return rebuilt, prefixes
 
 
+@pytest.mark.libm
 def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
     # The complete 3 x 3 window re-derives the same butterflies every
     # window, so the graph stops growing at window 3. At d = 2 and d = 4
@@ -384,6 +386,7 @@ def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
     assert prefixes == []
 
 
+@pytest.mark.libm
 def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     # Here the graph grows by one vertex every window, so window 21's graph
     # is one vertex short of the live one and is rebuilt through prefix, as

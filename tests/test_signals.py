@@ -26,7 +26,10 @@ def test_fingerprint_excludes_wall_clock():
 @pytest.mark.parametrize("line", ['{"t": 5, "W": 1}', "[1, 2]", '"t"',
                                   '{"mode": "sgdp", "t": "5", "W": 1}',
                                   '{"mode": "sgdp", "t": 5, "W": 1.0}',
-                                  '{"mode": "sgdp", "t": true, "W": 1}'])
+                                  '{"mode": "sgdp", "t": true, "W": 1}',
+                                  '{"mode": "sgdp", "t": 0, "W": 1}',
+                                  '{"mode": "sgdp", "t": -5, "W": 1}',
+                                  '{"mode": "sgdp", "t": 5, "W": 0}'])
 def test_from_json_rejects_malformed_lines(line):
     with pytest.raises(ValueError):
         DriftSignal.from_json(line)
