@@ -33,6 +33,7 @@ class ButterflyKey(NamedTuple):
 class BipartiteWindow:
     """Edges of the current burst window as per-j neighbour sets.
 
+    ``i_of_j`` maps each j-vertex in the window to its set of i-neighbours.
     ``add`` deduplicates (i, j) pairs but records every touch: the last
     timestamp at which a j-vertex appeared in any record decides its youth.
     For every j present in the window that last touch necessarily happened
@@ -41,19 +42,16 @@ class BipartiteWindow:
 
     def __init__(self) -> None:
         self.j_last_tau: dict[str, int] = {}
-        self._i_of_j: dict[str, set[str]] = {}
+        self.i_of_j: dict[str, set[str]] = {}
 
     def add(self, i: str, j: str, tau: int) -> None:
         """Record one arriving edge."""
         self.j_last_tau[j] = tau
-        self._i_of_j.setdefault(j, set()).add(i)
-
-    def i_neighbors(self, j: str) -> set[str]:
-        return self._i_of_j.get(j, set())
+        self.i_of_j.setdefault(j, set()).add(i)
 
     def clear(self) -> None:
         self.j_last_tau.clear()
-        self._i_of_j.clear()
+        self.i_of_j.clear()
 
 
 def young_timestamps(seen: dict[int, int], x: float, candidates) -> set[int]:
@@ -86,7 +84,7 @@ def enumerate_young(window: BipartiteWindow, young: set[int]) -> list[ButterflyK
     young_js = sorted(j for j, tau in window.j_last_tau.items() if tau in young)
     found: list[ButterflyKey] = []
     for j1, j2 in combinations(young_js, 2):
-        common = window.i_neighbors(j1) & window.i_neighbors(j2)
+        common = window.i_of_j[j1] & window.i_of_j[j2]
         if len(common) < 2:
             continue
         for i1, i2 in combinations(sorted(common), 2):

@@ -7,8 +7,9 @@ stdout and so writes no manifest. Signals are serialized as JSON lines so
 downstream consumers can tail them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, found before any output is opened), 2 data error. Every default
-that a config class declares is read from that class.
+rejects, found before any output is opened), 2 data error: any
+``ValueError``, ``OSError`` or ``DeterminismError`` raised after the usage
+checks. Every default that a config class declares is read from that class.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -34,10 +34,6 @@ from .stream_model import SgrParseError, parse_sgr
 
 
 class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
     pass
 
 
@@ -202,7 +198,7 @@ def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
         except SgrParseError as exc:
             if skip_errors:
                 continue
-            raise DataError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {lineno}: {exc}") from None
         if record is None:
             continue
         t += 1
@@ -240,7 +236,7 @@ def _read_signals(path: str) -> list[DriftSignal]:
                 try:
                     signals.append(DriftSignal.from_json(line))
                 except ValueError as exc:
-                    raise DataError(f"signals line {lineno}: {exc}") from None
+                    raise ValueError(f"signals line {lineno}: {exc}") from None
     return signals
 
 
@@ -254,13 +250,13 @@ def _timing_runner(args, truth):
 
         def stamp(record):
             if record.t in slot:
-                cd_wall[slot[record.t]] = time.time() * 1000.0
+                cd_wall[slot[record.t]] = now_ms()
 
         with open(args.input, encoding="utf-8") as handle:
             _detect_stream(handle, args, configs, signals.append, stamp)
         if None in cd_wall:
-            raise DataError(f"truth drift index {truth.cd_indices[cd_wall.index(None)]} "
-                            f"is no record of {args.input}")
+            raise ValueError(f"truth drift index {truth.cd_indices[cd_wall.index(None)]} "
+                             f"is no record of {args.input}")
         return signals, cd_wall
 
     return run
@@ -277,15 +273,10 @@ def _cmd_eval(args) -> int:
         raise UsageError("--repeat needs --input (stream to re-run)")
     truth = read_ground_truth(args.truth, args.delimiter)
     if not truth.cd_indices:
-        raise DataError("ground-truth file is empty, nothing to score")
+        raise ValueError("ground-truth file is empty, nothing to score")
     if args.repeat is not None:
-        runner = _timing_runner(args, truth)
-        try:
-            report = repeated_timing(runner, truth, runs=args.repeat,
-                                     batches=args.batches,
-                                     drift_interval=args.delta)
-        except DeterminismError as exc:
-            raise DataError(str(exc)) from None
+        report = repeated_timing(_timing_runner(args, truth), truth, runs=args.repeat,
+                                 batches=args.batches, drift_interval=args.delta)
     else:
         if not args.signals:
             raise UsageError("offline eval needs --signals")
@@ -295,8 +286,9 @@ def _cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / "report.tsv").write_text(report.to_table(), encoding="utf-8")
-    print(report.to_table(), end="")
+    table = report.to_table()
+    (out_dir / "report.tsv").write_text(table, encoding="utf-8")
+    print(table, end="")
     _write_manifest(out_dir, args)
     return 0
 
@@ -309,7 +301,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError) as exc:
+    except (DeterminismError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,12 +154,10 @@ class _Emitter:
         return f"v{self.next_j}"
 
     def _walk_j(self, start_j: str, length: int) -> str:
+        # Every j on the walk ends a retained edge, so i_of_j holds its fans.
         current = start_j
         for _ in range(length):
-            fans = self.recent.i_of_j.get(current)
-            if not fans:
-                break
-            anchor = self.rng.choice(fans)
+            anchor = self.rng.choice(self.recent.i_of_j[current])
             current = self.rng.choice(self.recent.j_of_i[anchor])
         return current
 
@@ -247,9 +245,10 @@ def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
 
 
 def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
-    """Read a truth file; a bad line or non-increasing index is a ``ValueError``.
+    """Read a truth file; a bad line is a ``ValueError`` naming its number.
 
-    An empty ``delimiter`` is a ``ValueError`` raised before the file opens.
+    So is an index below 1 or one not above the previous line's. An empty
+    ``delimiter`` is a ``ValueError`` raised before the file opens.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
@@ -265,6 +264,9 @@ def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
             except ValueError:
                 raise ValueError(f"truth line {lineno}: expected index{delimiter}tau "
                                  f"(two integers), got {line!r}") from None
+            if index < 1:
+                raise ValueError(f"truth line {lineno}: index {index} is below 1 "
+                                 f"(records count from 1)")
             if indices and index <= indices[-1]:
                 raise ValueError(f"truth line {lineno}: index {index} does not increase")
             indices.append(index)

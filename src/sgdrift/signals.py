@@ -28,26 +28,18 @@ class DriftSignal:
     wall_ms: float
     params: dict = field(default_factory=dict)
 
+    def _fields(self) -> dict:
+        return {"mode": self.mode, "t": self.t, "W": self.window, "params": self.params}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "t": self.t,
-            "W": self.window,
-            "wall_ms": self.wall_ms,
-            "params": self.params,
-        }, sort_keys=True)
+        return json.dumps({**self._fields(), "wall_ms": self.wall_ms}, sort_keys=True)
 
     def fingerprint(self) -> str:
         """Canonical serialization without the wall-clock field.
 
         Two runs over identical input produce byte-identical fingerprints.
         """
-        return json.dumps({
-            "mode": self.mode,
-            "t": self.t,
-            "W": self.window,
-            "params": self.params,
-        }, sort_keys=True)
+        return json.dumps(self._fields(), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "DriftSignal":

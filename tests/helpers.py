@@ -78,7 +78,7 @@ def first_seen_ranks(order) -> dict[int, int]:
 
 def window_edges(window: BipartiteWindow) -> set[tuple[str, str]]:
     """The window's (i, j) edge set, read back from its per-j neighbour sets."""
-    return {(i, j) for j in window.j_last_tau for i in window.i_neighbors(j)}
+    return {(i, j) for j in window.j_last_tau for i in window.i_of_j[j]}
 
 
 def brute_force_butterflies(edges: set[tuple[str, str]],

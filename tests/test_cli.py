@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from sgdrift import cli
 from sgdrift.cli import _detect_stream, _detector_configs, build_parser, main
 from sgdrift.genstream import (DriftSchedule, GeneratorConfig, generate_to_files,
                                read_ground_truth)
+from sgdrift.harness import DeterminismError
 from sgdrift.sgdd import run_sgdd
-from sgdrift.sgdp import run_sgdp
+from sgdrift.sgdp import FULL_F_SCHEDULE, SgdpConfig, run_sgdp
 from sgdrift.signals import DriftSignal
 from sgdrift.stream_model import parse_sgr
 from test_golden import SGDD_GOLDEN, _digest
@@ -134,52 +136,72 @@ def test_detect_rejects_removed_sprime_flag(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-# Each case rejects one flag value and names the output file it would write;
-# every case runs in a directory that holds g.stream, g.truth and that file,
-# and no case may start a detector run.
+# Each case rejects one flag value and names the output file it would write
+# and the message that names the value; every case runs in a directory that
+# holds g.stream, g.truth and that file, and no case may start a detector run.
 REJECTED_FLAGS = {
     "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
-                  "--out", "sig.jsonl"], "sig.jsonl"),
+                  "--out", "sig.jsonl"], "sig.jsonl", "youth fraction x must be in (0, 1]"),
     "detect-seed-negative": (["detect", "--mode", "sgdd", "--seed", "-3", "--input",
-                              "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+                              "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                             "seed must be non-negative"),
     "detect-sigma-nan": (["detect", "--mode", "sgdd", "--sigma", "nan", "--input",
-                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                         "frequency spread sigma must be finite"),
     "detect-sigma-inf": (["detect", "--mode", "both", "--sigma", "inf", "--input",
-                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                         "frequency spread sigma must be finite"),
     "detect-f-schedule": (["detect", "--mode", "both", "--f-schedule", "1.5",
-                           "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+                           "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                          "threshold factors must lie in (0, 1]"),
+    "detect-f-schedule-bad": (["detect", "--mode", "sgdp", "--f-schedule", "0.3,x",
+                               "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                              "bad f schedule: '0.3,x'"),
+    "detect-f-schedule-empty": (["detect", "--mode", "sgdp", "--f-schedule", ",",
+                                 "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                                "f schedule is empty"),
     "eval-repeat-x": (["eval", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",
                        "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
-                       "--out", "."], "report.json"),
+                       "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
     "eval-repeat-not-multiple": (["eval", "--repeat", "5", "--batches", "2", "--truth",
                                   "g.truth", "--input", "g.stream", "--out", "."],
-                                 "report.json"),
+                                 "report.json", "runs must be a positive multiple of batches"),
     "eval-repeat-zero": (["eval", "--repeat", "0", "--batches", "1", "--truth", "g.truth",
-                          "--input", "g.stream", "--out", "."], "report.json"),
+                          "--input", "g.stream", "--out", "."], "report.json",
+                         "runs must be a positive multiple of batches"),
+    "eval-offline-without-signals": (["eval", "--truth", "g.truth", "--out", "."],
+                                     "report.json", "offline eval needs --signals"),
     "detect-empty-delimiter": (["detect", "--mode", "sgdp", "--delimiter", "", "--input",
-                                "g.stream", "--out", "sig.jsonl"], "sig.jsonl"),
+                                "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                               "argument --delimiter: delimiter must not be empty"),
     "eval-empty-delimiter": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
-                              "--delimiter", "", "--out", "."], "report.json"),
+                              "--delimiter", "", "--out", "."], "report.json",
+                             "argument --delimiter: delimiter must not be empty"),
     "eval-delta-zero": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
-                         "--delta", "0", "--out", "."], "report.json"),
+                         "--delta", "0", "--out", "."], "report.json",
+                        "drift interval must be positive"),
     "eval-delta-negative": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
-                             "--delta", "-5", "--out", "."], "report.json"),
+                             "--delta", "-5", "--out", "."], "report.json",
+                            "drift interval must be positive"),
     "eval-repeat-delta-negative": (["eval", "--repeat", "1", "--batches", "1", "--delta",
                                     "-5", "--truth", "g.truth", "--input", "g.stream",
-                                    "--out", "."], "report.json"),
+                                    "--out", "."], "report.json",
+                                   "drift interval must be positive"),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
-                                 "--n", "500", "--name", "g", "--out", "."], "g.stream"),
+                                 "--n", "500", "--name", "g", "--out", "."], "g.stream",
+                                "n must exceed the prefix length"),
     "generate-seed-negative": (["generate", "--pattern", "gradual", "--delta", "100",
                                 "--n", "1500", "--seed", "-3", "--name", "g", "--out", "."],
-                               "g.stream"),
+                               "g.stream", "prefix_len and seed must be non-negative"),
     "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
-                      "--rho", "1.5", "--name", "g", "--out", "."], "g.stream"),
+                      "--rho", "1.5", "--name", "g", "--out", "."], "g.stream",
+                     "rho must be in (0, 1)"),
 }
 
 
-@pytest.mark.parametrize("argv,output", REJECTED_FLAGS.values(), ids=REJECTED_FLAGS)
+@pytest.mark.parametrize("argv,output,message", REJECTED_FLAGS.values(), ids=REJECTED_FLAGS)
 def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
-        tmp_path, capsys, monkeypatch, argv, output):
+        tmp_path, capsys, monkeypatch, argv, output, message):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sgdrift.cli._detect_stream",
                         lambda *args: pytest.fail("detector ran"))
@@ -189,8 +211,22 @@ def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
     (tmp_path / "report.json").write_text("{}\n")
     before = (tmp_path / output).read_bytes()
     assert main(argv) == 1
-    assert "usage error:" in capsys.readouterr().err
+    assert f"usage error: {message}\n" in capsys.readouterr().err
     assert (tmp_path / output).read_bytes() == before
+
+
+def test_full_f_schedule_flag_runs_the_library_full_schedule(tmp_path):
+    stream, _ = generate_small(tmp_path)
+    out_file = tmp_path / "signals.jsonl"
+    assert main(["detect", "--mode", "sgdp", "--f-schedule", "full", "--input", str(stream),
+                 "--out", str(out_file)]) == 0
+    with open(stream, encoding="utf-8") as handle:
+        expected = run_sgdp((int(line.rsplit(",", 1)[1]) for line in handle),
+                            SgdpConfig(FULL_F_SCHEDULE))
+    assert expected
+    assert [DriftSignal.from_json(line).fingerprint()
+            for line in out_file.read_text().splitlines()] == \
+        [s.fingerprint() for s in expected]
 
 
 def _outputs_without_seed_flags(directory):
@@ -327,8 +363,22 @@ def test_eval_repeat_timing_protocol(tmp_path, capsys):
 def test_eval_repeat_without_input_is_usage_error(tmp_path, capsys):
     truth = tmp_path / "t.truth"
     truth.write_text("100,1\n")
-    code = main(["eval", "--truth", str(truth), "--repeat", "4"])
+    code = main(["eval", "--truth", str(truth), "--repeat", "4", "--batches", "1"])
     assert code == 1
+    assert "usage error: --repeat needs --input" in capsys.readouterr().err
+
+
+def test_eval_repeat_nondeterminism_is_data_error(tmp_path, capsys, monkeypatch):
+    def changed(*args, **kwargs):
+        raise DeterminismError("record-count distances changed between repeated runs")
+
+    monkeypatch.setattr(cli, "repeated_timing", changed)
+    stream, truth = generate_small(tmp_path, n=900, delta=250, prefix=100)
+    assert main(["eval", "--truth", str(truth), "--input", str(stream), "--repeat", "1",
+                 "--batches", "1", "--out", str(tmp_path / "rep")]) == 2
+    assert ("data error: record-count distances changed between repeated runs\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "rep").exists()
 
 
 def test_eval_malformed_truth_line_is_data_error_naming_it(tmp_path, capsys):
@@ -355,6 +405,19 @@ def test_eval_non_increasing_truth_index_is_data_error_naming_it(tmp_path, capsy
     assert main(["eval", "--truth", "t.truth", "--out", "rep", *run]) == 2
     line = truth_text.count("\n")
     assert f"data error: truth line {line}: index 2 does not increase" in capsys.readouterr().err
+    assert not Path("rep").exists()
+
+
+@pytest.mark.parametrize("run", [["--signals", "signals.jsonl"],
+                                 ["--input", "s.stream", "--repeat", "1", "--batches", "1"]],
+                         ids=["offline", "repeat"])
+def test_eval_truth_index_below_one_is_data_error_naming_it(tmp_path, capsys, monkeypatch, run):
+    monkeypatch.chdir(tmp_path)
+    Path("signals.jsonl").write_text(DriftSignal("sgdp", 4, 1, 1.0).to_json() + "\n")
+    Path("s.stream").write_text("".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 9)))
+    Path("t.truth").write_text("-3,2\n0,5\n")
+    assert main(["eval", "--truth", "t.truth", "--out", "rep", *run]) == 2
+    assert "data error: truth line 1: index -3 is below 1" in capsys.readouterr().err
     assert not Path("rep").exists()
 
 

@@ -148,6 +148,10 @@ def test_config_validation():
         GeneratorConfig(rho=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(l_min=3, l_max=2)
+    with pytest.raises(ValueError, match="beta and m must be positive"):
+        GeneratorConfig(beta=0)
+    with pytest.raises(ValueError, match="beta and m must be positive"):
+        GeneratorConfig(m=0)
 
 
 def test_config_rejects_negative_seed():
@@ -186,6 +190,15 @@ def test_malformed_truth_line_names_its_number(tmp_path, bad):
     path = tmp_path / "t.truth"
     path.write_text(f"300,58\n\n{bad}\n")
     with pytest.raises(ValueError, match=r"^truth line 3: expected index,tau "):
+        read_ground_truth(path)
+
+
+@pytest.mark.parametrize("bad", ["0,5", "-3,2"])
+def test_truth_index_below_one_names_its_line(tmp_path, bad):
+    path = tmp_path / "t.truth"
+    path.write_text(f"\n{bad}\n300,58\n")
+    index = bad.split(",")[0]
+    with pytest.raises(ValueError, match=rf"^truth line 2: index {index} is below 1 "):
         read_ground_truth(path)
 
 

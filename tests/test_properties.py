@@ -136,7 +136,7 @@ def test_window_matches_edge_set_reference(records, young):
         assert window_edges(window) == edges
         assert window.j_last_tau == last_tau
         for k in range(5):
-            assert window.i_neighbors(f"j{k}") == {u for u, v in edges if v == f"j{k}"}
+            assert window.i_of_j.get(f"j{k}", set()) == {u for u, v in edges if v == f"j{k}"}
         young_js = {v for v, t in last_tau.items() if t in young}
         assert enumerate_young(window, young) == brute_force_butterflies(edges, young_js)
 

@@ -113,6 +113,11 @@ def test_cdc_tests_steadiness_before_reading_o2():
 
 def test_cdc_insufficient_series_is_quiet():
     assert cdc_butterfly(100, 10, [0.4], [0.5], t=5, drift_windows=[0]) is None
+    # Past C3 (window 23, last drift at 12) but with S = 25 > 22 prior
+    # windows: without the history guard, S' = 2 would count a two-value O2
+    # slice that wraps from index -3, and fire.
+    assert cdc_butterfly(1e25, 1, [0.5] * 23, [0.9] * 22 + [0.1], t=99,
+                         drift_windows=list(range(13))) is None
 
 
 def test_cdc_precision_tightens_with_detections():
@@ -139,6 +144,17 @@ def test_cdc_falls_silent_for_good_after_321_signals():
     assert signal.params["mu1"] == signal.params["O1"]
     assert 10.0 ** -324 == 0.0
     assert cdc_butterfly(100, 10, o1, o2, t=1000, drift_windows=list(range(322))) is None
+
+
+def test_sgdd_falls_silent_before_the_last_drift_of_a_long_stream():
+    # The ceiling above, reached on a generated stream: the 321st signal
+    # (alpha 323) comes at t = 29,717, and the drift at 32,000 gets none.
+    records, truth = generate(GeneratorConfig(seed=7), DriftSchedule.make("gradual", 16000),
+                              33000)
+    signals = run_sgdd(records)
+    assert len(signals) == 321
+    assert signals[-1].params["alpha"] == 323
+    assert signals[-1].t < truth.cd_indices[-1]
 
 
 def test_cdc_decisions_match_direct_count_oracle():
