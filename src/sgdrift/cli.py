@@ -7,9 +7,10 @@ stdout and so writes no manifest. Signals are serialized as JSON lines so
 downstream consumers can tail them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, found before any output is opened), 2 data error: any
-``ValueError``, ``OSError`` or ``DeterminismError`` raised after the usage
-checks. Every default that a config class declares is read from that class.
+rejects, whatever ``--mode``, found before any file is read or opened), 2
+data error: any ``ValueError``, ``OSError`` or ``DeterminismError`` raised
+after the usage checks. Every default that a config class declares is read
+from that class.
 """
 
 from __future__ import annotations
@@ -63,16 +64,15 @@ def _delimiter(text: str) -> str:
 
 
 def _write_manifest(directory: Path, args, **extra) -> None:
-    flags = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()}
     manifest = {
         "tool": "sgdrift",
         "version": __version__,
         "subcommand": args.command,
-        "args": {**flags, **extra},
+        "args": {**vars(args), **extra},
         "written_at_ms": now_ms(),
     }
     path = directory / f"manifest_{args.command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
                     encoding="utf-8")
 
 
@@ -167,28 +167,26 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _detector_configs(args) -> tuple[SgdpConfig | None, SgddConfig | None]:
-    """The (sgdp, sgdd) configs of ``args.mode``; call it before opening any output."""
+def _detector_configs(args) -> tuple[SgdpConfig, SgddConfig]:
+    """Both detectors' configs from the knob flags, whatever ``args.mode``; call it first."""
     try:
-        return (SgdpConfig(_parse_f_schedule(args.f_schedule), args.variant)
-                if args.mode in ("sgdp", "both") else None,
-                SgddConfig(args.x, args.sigma, args.seed, args.variant)
-                if args.mode in ("sgdd", "both") else None)
+        return (SgdpConfig(_parse_f_schedule(args.f_schedule), args.variant),
+                SgddConfig(args.x, args.sigma, args.seed, args.variant))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
-    """Parse ``lines`` and feed every record to fresh detectors of ``configs``.
+def _detect_stream(lines, args, configs, on_record=None):
+    """Parse ``lines``, feed every record to fresh detectors and yield their signals.
 
-    Both ``detect`` and ``eval --repeat`` run through here, so they build
-    their detectors from the same knob flags. Signals go to ``emit``;
-    ``on_record`` (if given) sees each record after the detectors have
-    consumed it.
+    ``args.mode`` picks the detectors, built from ``configs`` (the pair of
+    ``_detector_configs``); both ``detect`` and ``eval --repeat`` run
+    through here. ``on_record`` (if given) sees each record after the
+    detectors have consumed it and their signals have been yielded.
     """
     sgdp_config, sgdd_config = configs
-    sgdp_state = None if sgdp_config is None else SgdpState(config=sgdp_config)
-    sgdd_state = None if sgdd_config is None else SgddState(config=sgdd_config)
+    sgdp_state = SgdpState(config=sgdp_config) if args.mode != "sgdd" else None
+    sgdd_state = SgddState(config=sgdd_config) if args.mode != "sgdp" else None
     delimiter = args.delimiter
     skip_errors = args.on_error == "skip"
     t = 0
@@ -203,9 +201,9 @@ def _detect_stream(lines, args, configs, emit, on_record=None) -> None:
             continue
         t += 1
         if sgdp_state is not None and (signal := sgdp_step(sgdp_state, record.tau)):
-            emit(signal)
+            yield signal
         if sgdd_state is not None and (signal := sgdd_step(sgdd_state, record)):
-            emit(signal)
+            yield signal
         if on_record is not None:
             on_record(record)
 
@@ -220,8 +218,8 @@ def _cmd_detect(args) -> int:
           else open(args.input, encoding="utf-8")) as source, \
          (nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", encoding="utf-8")) as sink:
-        emit = lambda signal: print(signal.to_json(), file=sink, flush=sink is sys.stdout)
-        _detect_stream(source, args, configs, emit)
+        for signal in _detect_stream(source, args, configs):
+            print(signal.to_json(), file=sink, flush=sink is sys.stdout)
     if args.out != "-":
         _write_manifest(Path(args.out).parent, args)
     return 0
@@ -240,29 +238,26 @@ def _read_signals(path: str) -> list[DriftSignal]:
     return signals
 
 
-def _timing_runner(args, truth):
-    configs = _detector_configs(args)
-    slot = {c: k for k, c in enumerate(truth.cd_indices)}
-
+def _timing_runner(args, configs, truth):
     def run():
-        signals = []
-        cd_wall = [None] * len(slot)
+        cd_wall = dict.fromkeys(truth.cd_indices)
 
         def stamp(record):
-            if record.t in slot:
-                cd_wall[slot[record.t]] = now_ms()
+            if record.t in cd_wall:
+                cd_wall[record.t] = now_ms()
 
         with open(args.input, encoding="utf-8") as handle:
-            _detect_stream(handle, args, configs, signals.append, stamp)
-        if None in cd_wall:
-            raise ValueError(f"truth drift index {truth.cd_indices[cd_wall.index(None)]} "
-                             f"is no record of {args.input}")
-        return signals, cd_wall
+            signals = list(_detect_stream(handle, args, configs, stamp))
+        for index, wall in cd_wall.items():
+            if wall is None:
+                raise ValueError(f"truth drift index {index} is no record of {args.input}")
+        return signals, list(cd_wall.values())
 
     return run
 
 
 def _cmd_eval(args) -> int:
+    configs = _detector_configs(args)
     try:
         check_drift_interval(args.delta)
         if args.repeat is not None:
@@ -271,17 +266,16 @@ def _cmd_eval(args) -> int:
         raise UsageError(str(exc)) from None
     if args.repeat is not None and not args.input:
         raise UsageError("--repeat needs --input (stream to re-run)")
+    if args.repeat is None and not args.signals:
+        raise UsageError("offline eval needs --signals")
     truth = read_ground_truth(args.truth, args.delimiter)
     if not truth.cd_indices:
         raise ValueError("ground-truth file is empty, nothing to score")
     if args.repeat is not None:
-        report = repeated_timing(_timing_runner(args, truth), truth, runs=args.repeat,
+        report = repeated_timing(_timing_runner(args, configs, truth), truth, runs=args.repeat,
                                  batches=args.batches, drift_interval=args.delta)
     else:
-        if not args.signals:
-            raise UsageError("offline eval needs --signals")
-        signals = _read_signals(args.signals)
-        report = distances(signals, truth, args.delta)
+        report = distances(_read_signals(args.signals), truth, args.delta)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(

@@ -16,7 +16,7 @@ false negatives.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 from statistics import fmean, stdev
 
@@ -163,12 +163,12 @@ def repeated_timing(runner, truth: GroundTruth, runs: int, batches: int,
             elif report != reference:  # the ms fields are still None on both
                 raise DeterminismError(
                     "record-count distances changed between repeated runs")
-            ts = [signal.t for signal in signals]
+            lo = 0  # the buckets are consecutive slices of the t-sorted signals
             for k, cd in enumerate(report.per_cd):
-                if cd.count:  # the signals of one record index share a bucket
-                    first, last = bisect_left(ts, cd.first_t), bisect_right(ts, cd.last_t) - 1
-                    ms_first[k].append(cd_wall_ms[k] - signals[first].wall_ms)
-                    ms_last[k].append(cd_wall_ms[k] - signals[last].wall_ms)
+                if cd.count:
+                    ms_first[k].append(cd_wall_ms[k] - signals[lo].wall_ms)
+                    ms_last[k].append(cd_wall_ms[k] - signals[lo + cd.count - 1].wall_ms)
+                lo += cd.count
     assert reference is not None
     for k, cd in enumerate(reference.per_cd):
         if ms_first[k]:

@@ -79,6 +79,8 @@ class SgddConfig:
             raise ValueError("youth fraction x must be in (0, 1]")
         if not math.isfinite(self.sigma):
             raise ValueError("frequency spread sigma must be finite")
+        if self.sigma < 0.0:  # a standard deviation; 0 stays legal
+            raise ValueError("frequency spread sigma must be finite and non-negative")
         if self.seed < 0:  # Random(-s) seeds like Random(s)
             raise ValueError("seed must be non-negative")
         check_variant(self.variant)

@@ -125,8 +125,8 @@ def test_detect_both_feeds_each_detector_its_single_mode_input(tmp_path):
 def test_detect_stream_assigns_arrival_in_line_order():
     args = build_parser().parse_args(["detect", "--mode", "sgdp", "--input", "-"])
     records = []
-    _detect_stream(["1,2,1.0,10", "", "3,4,1.0,11", "  "], args, _detector_configs(args),
-                   print, records.append)
+    list(_detect_stream(["1,2,1.0,10", "", "3,4,1.0,11", "  "], args, _detector_configs(args),
+                        records.append))
     assert [r.t for r in records] == [1, 2]
     assert [r.tau for r in records] == [10, 11]
 
@@ -160,6 +160,17 @@ REJECTED_FLAGS = {
     "detect-f-schedule-empty": (["detect", "--mode", "sgdp", "--f-schedule", ",",
                                  "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
                                 "f schedule is empty"),
+    # Every knob is checked whatever --mode, so a value only the other
+    # detector reads is rejected too.
+    "detect-sgdp-x": (["detect", "--mode", "sgdp", "--x", "1.5", "--input", "g.stream",
+                       "--out", "sig.jsonl"], "sig.jsonl",
+                      "youth fraction x must be in (0, 1]"),
+    "detect-sgdd-f-schedule": (["detect", "--mode", "sgdd", "--f-schedule", "7", "--input",
+                                "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                               "threshold factors must lie in (0, 1]"),
+    "detect-sigma-negative": (["detect", "--mode", "sgdd", "--sigma", "-1", "--input",
+                               "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                              "frequency spread sigma must be finite and non-negative"),
     "eval-repeat-x": (["eval", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",
                        "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
                        "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
@@ -171,6 +182,12 @@ REJECTED_FLAGS = {
                          "runs must be a positive multiple of batches"),
     "eval-offline-without-signals": (["eval", "--truth", "g.truth", "--out", "."],
                                      "report.json", "offline eval needs --signals"),
+    # eval checks its flags before it reads --truth.
+    "eval-offline-without-signals-missing-truth": (
+        ["eval", "--truth", "missing.truth", "--out", "."], "report.json",
+        "offline eval needs --signals"),
+    "eval-offline-x": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth", "--x", "9",
+                        "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
     "detect-empty-delimiter": (["detect", "--mode", "sgdp", "--delimiter", "", "--input",
                                 "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
                                "argument --delimiter: delimiter must not be empty"),

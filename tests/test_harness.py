@@ -143,6 +143,19 @@ def test_repeated_timing_aggregates_ms_and_keeps_sgr_fixed():
     assert report.per_cd[1].d_first == 10
 
 
+def test_repeated_timing_reads_each_drift_at_its_own_bucket():
+    # Each drift's ms distances come from the first and last signal of its
+    # own bucket: past an empty bucket, and the last of two signals that
+    # share a record index.
+    truth = GroundTruth((100, 120, 200), (1, 2, 3))
+    signals = [DriftSignal("sgdp", t, t, wall) for t, wall in
+               ((90, 1.0), (95, 2.0), (95, 3.0), (150, 10.0), (190, 20.0), (250, 40.0))]
+    report = repeated_timing(lambda: (signals, [100.0, 120.0, 200.0]), truth,
+                             runs=2, batches=1)
+    assert [(cd.ms_first_mean, cd.ms_last_mean) for cd in report.per_cd] == \
+        [(99.0, 97.0), (None, None), (190.0, 180.0)]
+
+
 def test_single_run_matches_offline_distances():
     truth = GroundTruth((100,), (1,))
     runner = make_runner([90], truth.cd_indices)

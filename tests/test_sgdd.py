@@ -16,6 +16,10 @@ from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
 from sgdrift.uwgo import OscillatorGraph
 from test_golden import SGDD_APPENDIX_GOLDEN, SGDD_GOLDEN, _digest
 
+# The five golden sgdd runs: each SGDD_GOLDEN stream, and the appendix case.
+GOLDEN_RUNS = [*((pattern, seed, "default") for pattern, seed in sorted(SGDD_GOLDEN)),
+               ("gradual", 3, "appendix")]
+
 
 def fig5_stream():
     """Records reproducing the worked-example window, then a burst boundary.
@@ -155,6 +159,9 @@ def test_sgdd_falls_silent_before_the_last_drift_of_a_long_stream():
     assert len(signals) == 321
     assert signals[-1].params["alpha"] == 323
     assert signals[-1].t < truth.cd_indices[-1]
+    # All 321 pass C1 by exact equality, so comparing with exact equality
+    # once the tolerance is below O1's resolution would keep every one.
+    assert all(s.params["mu1"] == s.params["O1"] for s in signals)
 
 
 def test_cdc_decisions_match_direct_count_oracle():
@@ -243,9 +250,7 @@ def _reference_run(records, config):
     return signals, o2
 
 
-@pytest.mark.parametrize("pattern,seed,variant", [
-    *((pattern, seed, "default") for pattern, seed in sorted(SGDD_GOLDEN)),
-    ("gradual", 3, "appendix")])
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, variant):
     # With the bound on S forced down, windows that spaced checks read are
     # skipped too, and every such read goes through rebuild_o2.
@@ -259,13 +264,13 @@ def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, varian
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
     expected = SGDD_GOLDEN[(pattern, seed)] if variant == "default" else SGDD_APPENDIX_GOLDEN
     assert _digest(signals) == expected
+    # Every golden signal passes C1 by exact equality, from alpha 3 on.
+    assert all(s.params["mu1"] == s.params["O1"] for s in signals)
     assert rebuilt
     assert [o2[k] for k in rebuilt] == [unskipped[k] for k in rebuilt]
 
 
-@pytest.mark.parametrize("pattern,seed,variant", [
-    *((pattern, seed, "default") for pattern, seed in sorted(SGDD_GOLDEN)),
-    ("gradual", 3, "appendix")])
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_no_step_integrates_more_than_twice_while_s_is_at_most_two(
         monkeypatch, pattern, seed, variant):
     # Where the bound on S stays at most 2, a check reads at most one
@@ -327,6 +332,22 @@ def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
     assert [o2[k] for k in rebuilt] == [reference_o2[k] for k in rebuilt]
     assert [s.params["S"] for s in signals if s.window == 33] == [3]
     assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
+
+
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
+def test_golden_runs_start_no_fresh_rng(monkeypatch, pattern, seed, variant):
+    # rebuild_o2 seeds a fresh RNG only when both cursors have passed the
+    # window it rebuilds; sgdd_step fills oldest first, so the only RNGs a
+    # run seeds are its state's two cursors.
+    records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
+                          DriftSchedule.make(pattern, 500), 3000)
+    seeded = []
+    monkeypatch.setattr(sgdd, "random", SimpleNamespace(
+        Random=lambda seed: seeded.append(seed) or random.Random(seed)))
+    signals = run_sgdd(records, SgddConfig(seed=seed, variant=variant))
+    expected = SGDD_GOLDEN[(pattern, seed)] if variant == "default" else SGDD_APPENDIX_GOLDEN
+    assert _digest(signals) == expected
+    assert seeded == [seed, seed]
 
 
 def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
@@ -500,6 +521,15 @@ def test_config_rejects_non_finite_sigma(sigma):
     # fires; an infinite one fails in the integration, mid-stream.
     with pytest.raises(ValueError, match="sigma must be finite"):
         SgddConfig(sigma=sigma)
+
+
+def test_config_rejects_negative_sigma():
+    # A standard deviation is never below 0; a zero spread draws every
+    # frequency at 0 and stays legal.
+    with pytest.raises(ValueError,
+                       match="^frequency spread sigma must be finite and non-negative$"):
+        SgddConfig(sigma=-1.0)
+    assert SgddConfig(sigma=0.0).sigma == 0.0
 
 
 def test_config_rejects_unknown_variant_like_sgdp():
