@@ -2,9 +2,11 @@
 
 Every run that writes a file also writes a manifest next to it, with
 every parsed flag and the tool version, sufficient to re-run the command
-bit-identically (timing fields excepted); ``detect --out -`` writes only to
-stdout and so writes no manifest. Signals are serialized as JSON lines so
-downstream consumers can tail them live.
+bit-identically (timing fields excepted). ``detect`` writes its manifest
+only when ``--out`` is a regular file: ``--out -`` writes to stdout, and a
+device such as ``/dev/null`` or a pipe gets no manifest beside it.
+Signals are serialized as JSON lines so downstream consumers can tail
+them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
 rejects, whatever ``--mode``, found before any file is read or opened), 2
@@ -220,7 +222,7 @@ def _cmd_detect(args) -> int:
           else open(args.out, "w", encoding="utf-8")) as sink:
         for signal in _detect_stream(source, args, configs):
             print(signal.to_json(), file=sink, flush=sink is sys.stdout)
-    if args.out != "-":
+    if args.out != "-" and os.path.isfile(args.out):
         _write_manifest(Path(args.out).parent, args)
     return 0
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .stream_model import SGR
 
@@ -37,6 +38,9 @@ PATTERNS = ("gradual", "recurring")
 BASE_PARAMS = (0.4, 1, 4)
 RAISED_PARAMS = (0.6, 3, 4)
 PREFIX_PARAMS = (0.3, 1, 2)
+
+# Every generated edge has unit weight.
+OMEGA = 1.0
 
 
 @dataclass(frozen=True)
@@ -101,28 +105,55 @@ class GroundTruth:
 
 
 class _RecentGraph:
-    """Edges of the last ``beta`` bursts, with adjacency for wedge walks."""
+    """Edges of the last ``beta`` bursts, with adjacency for wedge walks.
+
+    The generator draws by index from ``edges``, from the lists of
+    ``i_of_j`` and ``j_of_i`` and from ``j_vertices``, so their order is
+    part of the stream. Invariant: every list holds its entries in
+    retained-edge order and ``j_vertices`` holds the keys of ``i_of_j`` by
+    first occurrence among the retained edges, exactly as a rebuild from
+    the retained bursts gives them. Opening a burst evicts only the oldest
+    one; its edges lead ``edges`` and every list they are in, so dropping
+    heads keeps each list's order, and only ``j_vertices`` is recomputed.
+    """
 
     def __init__(self, beta: int) -> None:
-        self._bursts: deque[list[tuple[str, str]]] = deque(maxlen=beta)
+        self._sizes: deque[int] = deque(maxlen=beta)  # edges per retained burst
         self.i_of_j: dict[str, list[str]] = {}
         self.j_of_i: dict[str, list[str]] = {}
         self.edges: list[tuple[str, str]] = []
+        self.j_vertices: list[str] = []
 
     def open_burst(self) -> None:
-        self._bursts.append([])
-        self.edges = [e for burst in self._bursts for e in burst]
-        self.i_of_j = {}
-        self.j_of_i = {}
-        for i, j in self.edges:
-            self.i_of_j.setdefault(j, []).append(i)
-            self.j_of_i.setdefault(i, []).append(j)
+        if len(self._sizes) == self._sizes.maxlen:
+            size = self._sizes.popleft()
+            evicted = self.edges[:size]
+            del self.edges[:size]
+            i_of_j, j_of_i = self.i_of_j, self.j_of_i
+            for i, j in evicted:
+                fans = i_of_j[j]
+                del fans[0]
+                if not fans:
+                    del i_of_j[j]
+                targets = j_of_i[i]
+                del targets[0]
+                if not targets:
+                    del j_of_i[i]
+            self.j_vertices = list(dict.fromkeys(map(itemgetter(1), self.edges)))
+        self._sizes.append(0)
 
-    def add(self, i: str, j: str) -> None:
-        self._bursts[-1].append((i, j))
-        self.edges.append((i, j))
-        self.i_of_j.setdefault(j, []).append(i)
-        self.j_of_i.setdefault(i, []).append(j)
+    def add(self, edges: list[tuple[str, str]]) -> None:
+        """Append ``edges`` to the open burst."""
+        self._sizes[-1] += len(edges)
+        self.edges += edges
+        i_of_j, j_of_i = self.i_of_j, self.j_of_i
+        for i, j in edges:
+            if j in i_of_j:
+                i_of_j[j].append(i)
+            else:
+                i_of_j[j] = [i]
+                self.j_vertices.append(j)
+            j_of_i.setdefault(i, []).append(j)
 
 
 class _Emitter:
@@ -179,32 +210,33 @@ class _Emitter:
 
     def _attach_edge(self) -> tuple[str, str]:
         i = self._fresh_i()
-        if self.recent.i_of_j and self.rng.random() < 0.5:
-            return (i, self.rng.choice(list(self.recent.i_of_j)))
+        if self.recent.j_vertices and self.rng.random() < 0.5:
+            return (i, self.rng.choice(self.recent.j_vertices))
         return (i, self._fresh_j())
 
     def run(self, sink) -> GroundTruth:
-        """Feed every record to ``sink`` in order and return the ground truth."""
+        """Hand each burst to ``sink(tau, edges)`` in order; return the ground truth."""
         rng = self.rng
+        recent = self.recent
         m = self.config.m
         t = tau = 0
         marks: list[tuple[int, int]] = []
         for end, (rho, l_min, l_max), is_drift in self.segments:
             while t < end:
-                budget = min(end - t, 1 + sum(rng.random() < rho for _ in range(m))
+                budget = min(end - t, 1 + sum([rng.random() < rho for _ in range(m)])
                              + rng.randint(l_min, l_max))
                 tau += 1
-                self.recent.open_burst()
-                while budget > 0:
+                recent.open_burst()
+                burst: list[tuple[str, str]] = []
+                while len(burst) < budget:
                     if rng.random() < rho:
-                        edges = self._stamp_edges(rho, l_min, l_max)[:budget]
+                        edges = self._stamp_edges(rho, l_min, l_max)[:budget - len(burst)]
                     else:
                         edges = [self._attach_edge()]
-                    for i, j in edges:
-                        t += 1
-                        budget -= 1
-                        self.recent.add(i, j)
-                        sink(SGR(i, j, 1.0, tau, t))
+                    recent.add(edges)
+                    burst += edges
+                t += budget
+                sink(tau, burst)
             if is_drift:
                 marks.append((t, tau))
         return GroundTruth(tuple(i for i, _ in marks), tuple(ts for _, ts in marks))
@@ -219,12 +251,19 @@ def generate(config: GeneratorConfig, schedule: DriftSchedule,
     (config, schedule, n).
     """
     records: list[SGR] = []
-    truth = _Emitter(config, schedule, n).run(records.append)
+
+    def keep(tau: int, edges: list[tuple[str, str]]) -> None:
+        records.extend(SGR(i, j, OMEGA, tau, t)
+                       for t, (i, j) in enumerate(edges, start=len(records) + 1))
+
+    truth = _Emitter(config, schedule, n).run(keep)
     return records, truth
 
 
-def format_sgr(record: SGR) -> str:
-    return f"{record.i},{record.j},{record.omega!r},{record.tau}"
+def format_burst(tau: int, edges: list[tuple[str, str]]) -> str:
+    """The stream-file text of one burst: an ``i,j,omega,tau`` line per edge."""
+    tail = f",{OMEGA!r},{tau}\n"
+    return "".join([f"{i},{j}{tail}" for i, j in edges])
 
 
 def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
@@ -237,7 +276,7 @@ def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
     """
     emitter = _Emitter(config, schedule, n)
     with open(stream_path, "w", encoding="utf-8") as stream:
-        truth = emitter.run(lambda r: stream.write(format_sgr(r) + "\n"))
+        truth = emitter.run(lambda tau, edges: stream.write(format_burst(tau, edges)))
     with open(truth_path, "w", encoding="utf-8") as out:
         for index, ts in zip(truth.cd_indices, truth.cd_timestamps):
             out.write(f"{index},{ts}\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -528,3 +529,35 @@ def reference_distances(signals: list[DriftSignal], truth: GroundTruth,
         report.false_positives = sum(1 for s in trailing
                                      if s.t > last_cd + drift_interval)
     return report
+
+
+# --- generator oracles ----------------------------------------------------------
+
+class ReferenceRecentGraph:
+    """The generator's recent graph rebuilt from every retained burst on each open.
+
+    The rebuild fixes the order the generator draws from: ``edges`` and each
+    adjacency list in retained-edge order, and ``i_of_j``'s keys by first
+    occurrence among the retained edges.
+    """
+
+    def __init__(self, beta: int) -> None:
+        self._bursts: deque[list[tuple[str, str]]] = deque(maxlen=beta)
+        self.i_of_j: dict[str, list[str]] = {}
+        self.j_of_i: dict[str, list[str]] = {}
+        self.edges: list[tuple[str, str]] = []
+
+    def open_burst(self) -> None:
+        self._bursts.append([])
+        self.edges = [e for burst in self._bursts for e in burst]
+        self.i_of_j = {}
+        self.j_of_i = {}
+        for i, j in self.edges:
+            self.i_of_j.setdefault(j, []).append(i)
+            self.j_of_i.setdefault(i, []).append(j)
+
+    def add(self, i: str, j: str) -> None:
+        self._bursts[-1].append((i, j))
+        self.edges.append((i, j))
+        self.i_of_j.setdefault(j, []).append(i)
+        self.j_of_i.setdefault(i, []).append(j)

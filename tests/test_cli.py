@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -305,6 +306,19 @@ def test_detect_out_naming_the_input_is_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "." / stream.name)]) == 1
     assert "usage error:" in capsys.readouterr().err
     assert stream.read_bytes() == before
+
+
+def test_detect_writes_no_manifest_beside_a_device(tmp_path):
+    # The link lives in tmp_path, so a manifest written beside --out would
+    # land there too, not in the device's own directory.
+    stream, _ = generate_small(tmp_path)
+    sink = tmp_path / "discard"
+    sink.symlink_to(os.devnull)
+    assert main(["detect", "--mode", "sgdp", "--input", str(stream), "--out", str(sink)]) == 0
+    assert not (tmp_path / "manifest_detect.json").exists()
+    assert main(["detect", "--mode", "sgdp", "--input", str(stream),
+                 "--out", str(tmp_path / "signals.jsonl")]) == 0
+    assert (tmp_path / "manifest_detect.json").exists()
 
 
 def test_detect_malformed_line_aborts_with_line_number(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 from statistics import fmean
 
 import pytest
 
 from sgdrift.butterfly import BipartiteWindow, enumerate_young
 from sgdrift.genstream import (BASE_PARAMS, DriftSchedule, GeneratorConfig,
-                               format_sgr, generate, generate_to_files,
+                               format_burst, generate, generate_to_files,
                                read_ground_truth)
 from sgdrift.stream_model import SgrParseError, parse_sgr
 
@@ -181,8 +183,10 @@ def test_file_round_trip(tmp_path):
 
 def test_format_round_trips_through_parser():
     (records, _), _, _ = small_stream(n=400, delta=100, prefix=50)
-    for r in records[:100]:
-        assert parse_sgr(format_sgr(r), r.t) == r
+    for tau, burst in groupby(records[:100], key=attrgetter("tau")):
+        burst = list(burst)
+        lines = format_burst(tau, [(r.i, r.j) for r in burst]).splitlines()
+        assert [parse_sgr(line, r.t) for line, r in zip(lines, burst, strict=True)] == burst
 
 
 @pytest.mark.parametrize("bad", ["800", "800,123,5", "x,123", "800,12.5"])

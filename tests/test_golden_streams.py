@@ -46,6 +46,10 @@ GOLDEN_STREAMS = {
                     (100,),
                     "f8b5480e518ff729bf765ed9e2f8a1684aba1165d7336edd23f13ab5f15ad7de",
                     "1f90b3c3699332335e4b319010fbee9ce2cbb3a3d87cd78fa7b55773faf741ac"),
+    "gradual-seed7-long": (dict(seed=7), "gradual", 4000, 20000,
+                           (1000, 8000, 12000, 16000),
+                           "1ec4fffe2990aaa4f87d23ada000b5d4948e3ea6fb7a5af480d07749663335f4",
+                           "48c234123a149e6adb7591b6f676e03549416dd4e0181f7912c2e4a77be629dc"),
 }
 
 

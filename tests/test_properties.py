@@ -26,7 +26,10 @@ step that re-reads the gate before every threshold factor and collects
 every signal in a list. The scorer, which slices each drift's signals out
 of the record-index list by bisection, is checked against one that walks
 the signals into per-drift bucket lists, on truth and signal lists that
-may be empty, repeat, go negative or come unsorted.
+may be empty, repeat, go negative or come unsorted. The generator's
+recent graph, which evicts only its oldest burst, is checked after every
+call against one rebuilt from all retained bursts: the same edges, the
+same adjacency lists and the j-vertices in the same first-occurrence order.
 """
 
 import math
@@ -37,12 +40,13 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (ReferenceProfile, brute_force_butterflies, butterfly_key,
-                     reference_distances, reference_ingest, reference_parse_sgr,
-                     reference_sgdd, reference_sgdp_step, reference_young, rk4_oracle,
-                     window_edges)
+from helpers import (ReferenceProfile, ReferenceRecentGraph, brute_force_butterflies,
+                     butterfly_key, reference_distances, reference_ingest,
+                     reference_parse_sgr, reference_sgdd, reference_sgdp_step,
+                     reference_young, rk4_oracle, window_edges)
 from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
-from sgdrift.genstream import DriftSchedule, GeneratorConfig, GroundTruth, generate
+from sgdrift.genstream import (DriftSchedule, GeneratorConfig, GroundTruth, _RecentGraph,
+                               generate)
 from sgdrift.harness import distances
 from sgdrift.sgdd import REPLAY_CHUNK, SgddConfig, SgddState, _seek, run_sgdd, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
@@ -456,3 +460,34 @@ t_lists = st.lists(st.integers(-5, 80), max_size=20)
 def test_distances_match_bucket_reference(ts, cds, interval):
     assert _scored(distances, ts, cds, interval) == \
         _scored(reference_distances, ts, cds, interval)
+
+
+# Bursts of edge groups (one ``add`` call each) over a few vertex names, so
+# that a j-vertex outlives the burst that introduced it; some bursts are empty.
+def _recent_bursts(names):
+    edge = st.tuples(st.integers(0, names - 1), st.integers(0, names - 1))
+    return st.lists(st.lists(st.lists(edge, min_size=1, max_size=4), max_size=4),
+                    max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(3, 6).flatmap(_recent_bursts))
+def test_recent_graph_matches_rebuild_reference(beta, bursts):
+    graph, reference = _RecentGraph(beta), ReferenceRecentGraph(beta)
+
+    def assert_same():
+        assert graph.edges == reference.edges
+        assert graph.i_of_j == reference.i_of_j
+        assert graph.j_of_i == reference.j_of_i
+        assert graph.j_vertices == list(reference.i_of_j)
+
+    for groups in bursts:
+        graph.open_burst()
+        reference.open_burst()
+        assert_same()
+        for group in groups:
+            edges = [(f"u{a}", f"v{b}") for a, b in group]
+            graph.add(edges)
+            for i, j in edges:
+                reference.add(i, j)
+            assert_same()
