@@ -157,11 +157,9 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float],
     less = sum(1 for v in suffix if v < current_o2)
     if less >= sprime or more >= sprime:
         drift_windows.append(window)
-        return DriftSignal(
-            mode="sgdd", t=t, window=window, wall_ms=now_ms(),
-            params={"alpha": alpha, "S": s, "S_prime": sprime, "mu1": mu1,
-                    "more": more, "less": less, "O1": current_o1, "O2": current_o2},
-        )
+        return DriftSignal("sgdd", t, window, now_ms(),
+                           {"alpha": alpha, "S": s, "S_prime": sprime, "mu1": mu1,
+                            "more": more, "less": less, "O1": current_o1, "O2": current_o2})
     return None
 
 

@@ -37,33 +37,27 @@ def check_variant(variant: str) -> None:
         raise ValueError(f"unknown suffix-size variant: {variant!r}")
 
 
-def _digits_floor_log10(x: float) -> int:
-    # floor(log10(x)) for x >= 1, computed exactly via the decimal digit count
-    return len(str(int(x))) - 1
-
-
 def suffix_size(maximum: float, average: float, d: int, variant: str = "default") -> int:
     """Adaptive suffix length from the burst-size extremes.
 
     The base ratio is floor(log10(max(maximum, 100))) over
-    floor(log10(max(average, 10))). The ``default`` variant raises it to
-    (-1)**(d+1) and the ``appendix`` variant to (-1)**d, where ``d`` is the
-    size of the drift-window log; the result is rounded up and clamped to
-    at least 1.
+    floor(log10(max(average, 10))), each floor taken exactly from the
+    decimal digit count. The ``default`` variant raises it to (-1)**(d+1)
+    and the ``appendix`` variant to (-1)**d, where ``d`` is the size of the
+    drift-window log; the result is rounded up and clamped to at least 1.
     """
-    check_variant(variant)
+    if variant not in VARIANTS:  # spares the call, not the check's message
+        check_variant(variant)
     if d < 1:
         raise ValueError("d must be at least 1")
-    num = _digits_floor_log10(max(maximum, 100))
-    den = _digits_floor_log10(max(average, 10))
-    if _swapped(d, variant):
-        num, den = den, num
-    return max(1, -(-num // den))
-
-
-def _swapped(d: int, variant: str) -> bool:
+    # The conditionals pick as max() does, so a NaN argument is kept.
+    num = len(str(int(100 if 100 > maximum else maximum))) - 1
+    den = len(str(int(10 if 10 > average else average))) - 1
     # The parity of d on which the variant takes the reciprocal ratio.
-    return (d % 2 == 0) == (variant == "default")
+    if (d % 2 == 0) == (variant == "default"):
+        num, den = den, num
+    s = -(-num // den)
+    return s if s > 1 else 1
 
 
 def suffix_bound(maximum: float, d: int, variant: str = "default") -> int:
@@ -72,22 +66,20 @@ def suffix_bound(maximum: float, d: int, variant: str = "default") -> int:
     The average never exceeds the maximum, so the reciprocal ratio is at
     most 1 and S is 1 on the parity of d that takes it. On the other
     parity S is at most floor(log10(max(maximum, 100))), whatever the
-    average.
+    average. Both are S at an average below 10.
     """
-    if _swapped(d, variant):
-        return 1
-    return _digits_floor_log10(max(maximum, 100))
+    return suffix_size(maximum, 0.0, d, variant)
 
 
 @lru_cache(maxsize=128)
-def _decimal(x: float) -> Fraction:
-    return Fraction(str(x))
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    return Fraction(str(x)).as_integer_ratio()
 
 
 def count_threshold(s: int, f: float) -> int:
     """ceil(S * f) over the decimal value of ``f``, so 0.07 never overshoots."""
-    frac = _decimal(f)
-    return -((-s * frac.numerator) // frac.denominator)
+    numerator, denominator = _decimal_ratio(f)
+    return -((-s * numerator) // denominator)
 
 
 @dataclass
@@ -137,19 +129,20 @@ def cds_bursts(maximum: float, series: Sequence[float], t: int, drift_windows: l
     s = suffix_size(maximum, average, d, variant)
     if window - 1 < s:
         return None
-    suffix = series[-s - 1:-1]
-    greater = sum(1 for x in suffix if x > average)
-    less = sum(1 for x in suffix if x < average)
-    hits = max(greater, less)
+    greater = less = 0
+    for x in series[-s - 1:-1]:
+        if x > average:
+            greater += 1
+        elif x < average:
+            less += 1
+    hits = greater if greater > less else less
     for f in f_schedule:
         threshold = count_threshold(s, f)
         if hits >= threshold:
             drift_windows.append(window)
-            return DriftSignal(
-                mode="sgdp", t=t, window=window, wall_ms=now_ms(),
-                params={"f": f, "S": s, "threshold": threshold,
-                        "greater": greater, "less": less, "average": average},
-            )
+            return DriftSignal("sgdp", t, window, now_ms(),
+                               {"f": f, "S": s, "threshold": threshold,
+                                "greater": greater, "less": less, "average": average})
     return None
 
 

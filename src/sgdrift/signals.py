@@ -7,6 +7,11 @@ import time
 from dataclasses import dataclass, field
 
 
+# One encoder for every signal; json.dumps(..., sort_keys=True) builds this
+# one anew on each call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def now_ms() -> float:
     """Wall-clock milliseconds since the epoch."""
     return time.time() * 1000.0
@@ -32,14 +37,16 @@ class DriftSignal:
         return {"mode": self.mode, "t": self.t, "W": self.window, "params": self.params}
 
     def to_json(self) -> str:
-        return json.dumps({**self._fields(), "wall_ms": self.wall_ms}, sort_keys=True)
+        fields = self._fields()
+        fields["wall_ms"] = self.wall_ms
+        return _encode(fields)
 
     def fingerprint(self) -> str:
         """Canonical serialization without the wall-clock field.
 
         Two runs over identical input produce byte-identical fingerprints.
         """
-        return json.dumps(self._fields(), sort_keys=True)
+        return _encode(self._fields())
 
     @classmethod
     def from_json(cls, line: str) -> "DriftSignal":

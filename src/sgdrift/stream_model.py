@@ -46,7 +46,9 @@ class BurstProfile:
 
     ``seen`` maps every timestamp observed to its first-seen rank (0, 1,
     ...); its insertion order is the first-seen order that the
-    young-butterfly filter reads. It grows without bound.
+    young-butterfly filter reads. It grows without bound, and with it
+    sgdp's state: about 10 bytes per record on generated streams
+    (``tracemalloc``: 2.3 MB at 200k records, 10.0 MB at 1M).
     """
 
     current: int = field(default=1, init=False)
@@ -80,6 +82,11 @@ def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
     return closed > 1
 
 
+# The record built without the Python-level __new__ that NamedTuple generates,
+# at about half its cost.
+_new_tuple = tuple.__new__
+
+
 def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
     """Parse one delimited stream line into a record with arrival index ``t``.
 
@@ -110,7 +117,7 @@ def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
         tau = int(tau_s)
     except ValueError:
         tau = _convert_stripped(int, tau_s, "field 4 (tau) is not an integer")
-    return SGR(i, j, omega, tau, t)
+    return _new_tuple(SGR, (i, j, omega, tau, t))
 
 
 def _convert_stripped(kind, text: str, message: str):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from collections import deque
@@ -14,8 +15,8 @@ from statistics import fmean
 from sgdrift.butterfly import BipartiteWindow, ButterflyKey
 from sgdrift.genstream import GroundTruth
 from sgdrift.harness import AfterLastReport, CdReport, EvalReport
-from sgdrift.sgdp import SgdpState, cds_bursts
-from sgdrift.signals import DriftSignal
+from sgdrift.sgdp import SgdpState, cds_bursts, check_variant
+from sgdrift.signals import DriftSignal, now_ms
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
 from sgdrift.uwgo import STEP, OscillatorGraph
@@ -372,6 +373,87 @@ def reference_sgdp_step(state: SgdpState, tau: int) -> list[DriftSignal]:
             if signal is not None:
                 fired.append(signal)
     return fired
+
+
+# --- signal and drift-check oracles ------------------------------------------------
+#
+# The plain forms of the signal encoder and of sgdp's check arithmetic:
+# ``json.dumps`` per call, one helper per formula, keyword construction and
+# one generator pass per count. The shared encoder, the inlined S and the
+# one-loop counts in ``signals`` and ``sgdp`` must give the same bytes,
+# values and errors.
+
+def _reference_fields(self) -> dict:
+    return {"mode": self.mode, "t": self.t, "W": self.window, "params": self.params}
+
+
+def reference_to_json(self) -> str:
+    return json.dumps({**_reference_fields(self), "wall_ms": self.wall_ms}, sort_keys=True)
+
+
+def reference_fingerprint(self) -> str:
+    return json.dumps(_reference_fields(self), sort_keys=True)
+
+
+def _digits_floor_log10(x: float) -> int:
+    # floor(log10(x)) for x >= 1, computed exactly via the decimal digit count
+    return len(str(int(x))) - 1
+
+
+def reference_suffix_size(maximum: float, average: float, d: int,
+                          variant: str = "default") -> int:
+    check_variant(variant)
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    num = _digits_floor_log10(max(maximum, 100))
+    den = _digits_floor_log10(max(average, 10))
+    if _swapped(d, variant):
+        num, den = den, num
+    return max(1, -(-num // den))
+
+
+def _swapped(d: int, variant: str) -> bool:
+    # The parity of d on which the variant takes the reciprocal ratio.
+    return (d % 2 == 0) == (variant == "default")
+
+
+def reference_suffix_bound(maximum: float, d: int, variant: str = "default") -> int:
+    if _swapped(d, variant):
+        return 1
+    return _digits_floor_log10(max(maximum, 100))
+
+
+def _decimal(x: float) -> Fraction:
+    return Fraction(str(x))
+
+
+def reference_count_threshold(s: int, f: float) -> int:
+    frac = _decimal(f)
+    return -((-s * frac.numerator) // frac.denominator)
+
+
+def reference_cds_bursts(maximum: float, series, t: int, drift_windows: list[int],
+                         f_schedule, variant: str = "default") -> DriftSignal | None:
+    average = series[-1]
+    window = len(series)
+    d = len(drift_windows)
+    s = reference_suffix_size(maximum, average, d, variant)
+    if window - 1 < s:
+        return None
+    suffix = series[-s - 1:-1]
+    greater = sum(1 for x in suffix if x > average)
+    less = sum(1 for x in suffix if x < average)
+    hits = max(greater, less)
+    for f in f_schedule:
+        threshold = reference_count_threshold(s, f)
+        if hits >= threshold:
+            drift_windows.append(window)
+            return DriftSignal(
+                mode="sgdp", t=t, window=window, wall_ms=now_ms(),
+                params={"f": f, "S": s, "threshold": threshold,
+                        "greater": greater, "less": less, "average": average},
+            )
+    return None
 
 
 # --- detector oracle -------------------------------------------------------------

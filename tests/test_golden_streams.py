@@ -7,7 +7,9 @@ rewrite of the generator that must keep its streams byte-identical keeps
 this file unchanged. Besides both patterns at two seeds, three edge cases
 pin the drift timeline: no prefix, a prefix that runs past a schedule
 change (that change is not a drift), and a first change at ``n`` (no
-change inside the stream but the prefix end).
+change inside the stream but the prefix end). A drift-free stream (no
+prefix, a schedule interval past ``n``) has base parameters throughout and
+an empty truth file.
 """
 
 import hashlib
@@ -50,6 +52,10 @@ GOLDEN_STREAMS = {
                            (1000, 8000, 12000, 16000),
                            "1ec4fffe2990aaa4f87d23ada000b5d4948e3ea6fb7a5af480d07749663335f4",
                            "48c234123a149e6adb7591b6f676e03549416dd4e0181f7912c2e4a77be629dc"),
+    "drift-free": (dict(seed=7, prefix_len=0), "gradual", 10**9, 20000,
+                   (),
+                   "30370d2d70ee1807293e53df0b158f435c3c5a4eb63249b903ec9f836bf49d0b",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from sgdrift.genstream import GroundTruth
+from sgdrift.genstream import DriftSchedule, GeneratorConfig, GroundTruth, generate
 from sgdrift.harness import DeterminismError, distances, repeated_timing
+from sgdrift.sgdp import run_sgdp
 from sgdrift.signals import DriftSignal
 
 
@@ -77,6 +78,30 @@ def test_empty_truth_rejected():
         distances([sig(1)], GroundTruth((), ()))
     with pytest.raises(ValueError):
         distances([sig(1)], GroundTruth((5, 5), (1, 1)))
+
+
+def test_scoring_cannot_tell_sgdp_from_a_metronome():
+    """On the ``gradual-seed7-long`` golden stream, sgdp's 309 signals and
+    309 evenly spaced ones both score no false positive and no false
+    negative at a 4,000-record drift interval.
+
+    A false positive counts only past the last drift plus the interval,
+    here record 20,000, the stream's end; a drift is missed only if no
+    signal falls in its bucket, and the metronome reaches every bucket.
+    This pins the weakness that stage B of ROADMAP item 1 (tolerance
+    windows, precision and recall) replaces the scoring for, and stage B
+    is expected to flip this result: the metronome should then score
+    worse than sgdp.
+    """
+    records, truth = generate(GeneratorConfig(seed=7), DriftSchedule.make("gradual", 4000),
+                              20_000)
+    signals = run_sgdp(r.tau for r in records)
+    n, count = len(records), len(signals)
+    metronome = [sig((k + 1) * n // count, window=k + 1) for k in range(count)]
+    assert truth.cd_indices == (1000, 8000, 12000, 16000) and count == 309
+    for scored in (signals, metronome):
+        report = distances(scored, truth, drift_interval=4000)
+        assert (report.false_positives, report.false_negatives) == (0, [])
 
 
 def test_adding_signals_moves_endpoints_monotonically():

@@ -30,10 +30,19 @@ may be empty, repeat, go negative or come unsorted. The generator's
 recent graph, which evicts only its oldest burst, is checked after every
 call against one rebuilt from all retained bursts: the same edges, the
 same adjacency lists and the j-vertices in the same first-occurrence order.
+A signal's ``to_json`` and ``fingerprint``, which share one module-level
+encoder, must give ``json.dumps(..., sort_keys=True)``'s bytes for any
+mode text and any JSON params, NaN and infinities included. sgdp's S,
+whose formula runs without helper calls, its count threshold, cached as
+an integer ratio, and its check, which counts both sides in one loop,
+must give the plain helper-per-formula versions' values, signals and
+errors; a parsed record, built without its class's Python-level
+``__new__``, must still be an ``SGR``.
 """
 
 import math
 import random
+from array import array
 from dataclasses import asdict
 
 import pytest
@@ -41,8 +50,10 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ReferenceProfile, ReferenceRecentGraph, brute_force_butterflies,
-                     butterfly_key, reference_distances, reference_ingest,
+                     butterfly_key, reference_cds_bursts, reference_count_threshold,
+                     reference_distances, reference_fingerprint, reference_ingest,
                      reference_parse_sgr, reference_sgdd, reference_sgdp_step,
+                     reference_suffix_bound, reference_suffix_size, reference_to_json,
                      reference_young, rk4_oracle, window_edges)
 from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
 from sgdrift.genstream import (DriftSchedule, GeneratorConfig, GroundTruth, _RecentGraph,
@@ -50,7 +61,8 @@ from sgdrift.genstream import (DriftSchedule, GeneratorConfig, GroundTruth, _Rec
 from sgdrift.harness import distances
 from sgdrift.sgdd import REPLAY_CHUNK, SgddConfig, SgddState, _seek, run_sgdd, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
-                          SgdpState, sgdp_step)
+                          SgdpState, cds_bursts, count_threshold, sgdp_step, suffix_bound,
+                          suffix_size)
 from sgdrift.signals import DriftSignal
 from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
                                   parse_sgr)
@@ -421,9 +433,10 @@ def _outcome(parse, line, delimiter):
     # The repr, so that two parses of "nan" agree (nan != nan); float reprs
     # round-trip, so nothing else that differs compares equal.
     try:
-        return repr(parse(line, 7, delimiter))
+        record = parse(line, 7, delimiter)
     except SgrParseError as exc:
         return ("error", str(exc))
+    return type(record), repr(record)
 
 
 @settings(max_examples=500, deadline=None)
@@ -439,6 +452,97 @@ def test_parse_matches_reference(fields, delimiter, tail):
 def test_blank_line_is_skipped_like_reference(line):
     assert parse_sgr(line, 1) is None
     assert reference_parse_sgr(line, 1) is None
+
+
+def test_parsed_record_is_an_sgr():
+    record = parse_sgr(" i1 , j2 , 0.5 , 42 ", 3)
+    assert type(record) is SGR
+    assert (record.i, record.j, record.omega, record.tau, record.t) == ("i1", "j2", 0.5, 42, 3)
+
+
+# Signals with any mode text and any JSON-encodable params: nested lists
+# and dicts, big ints, NaN and both infinities.
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4))
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+drawn_signals = st.builds(DriftSignal, st.text(max_size=6), st.integers(1, 2**40),
+                          st.integers(1, 2**40), st.floats(allow_nan=True, allow_infinity=True),
+                          st.dictionaries(st.text(max_size=4), json_values, max_size=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn_signals)
+@example(DriftSignal("sgdp→é", 7, 3, math.nan,
+                     {"f": 0.3, "S": 2, "nan": math.nan, "hi": math.inf, "lo": -math.inf,
+                      "nested": {"b": [1, 2.5, {"z": -math.inf}], "a": "ü\n"}}))
+def test_signal_json_matches_json_dumps(signal):
+    assert signal.to_json() == reference_to_json(signal)
+    assert signal.fingerprint() == reference_fingerprint(signal)
+
+
+def _result(fn, *args):
+    # A value, a signal's fingerprint, or the exception's type and message.
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (type(value), value.fingerprint()) if isinstance(value, DriftSignal) else value
+
+
+burst_sizes = st.one_of(st.integers(-10**3, 10**15),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([9.999, 10.0, 99.5, 100, 100.0, 1e3, 12345.6]))
+any_variant = st.sampled_from(VARIANTS + ("bogus",))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(burst_sizes, burst_sizes, st.integers(-3, 12), any_variant)
+@example(1000, 10.0, 0, "default")
+@example(1000, 10.0, 1, "bogus")
+@example(1000, math.nan, 1, "default")
+def test_suffix_size_matches_reference(maximum, average, d, variant):
+    assert (_result(suffix_size, maximum, average, d, variant)
+            == _result(reference_suffix_size, maximum, average, d, variant))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 10**15), st.floats(0.0, 1e15)), st.integers(1, 12),
+       st.sampled_from(VARIANTS))
+def test_suffix_bound_matches_reference(maximum, d, variant):
+    assert suffix_bound(maximum, d, variant) == reference_suffix_bound(maximum, d, variant)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(-10**6, 10**6),
+       st.one_of(st.sampled_from(FULL_F_SCHEDULE + (0.07, 1e-300, 1, 0)),
+                 st.floats(allow_nan=True, allow_infinity=True)))
+def test_count_threshold_matches_reference(s, f):
+    # Twice, so the second call reads the cache.
+    for _ in range(2):
+        assert _result(count_threshold, s, f) == _result(reference_count_threshold, s, f)
+
+
+series_values = st.one_of(st.sampled_from([5.0, 8.0, 8.5, 12.0, math.nan]),
+                          st.floats(0.0, 50.0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(burst_sizes, st.lists(series_values, min_size=1, max_size=12), st.integers(1, 10**6),
+       st.lists(st.integers(0, 12), max_size=4),
+       st.lists(st.one_of(st.sampled_from(FULL_F_SCHEDULE), st.floats(0.01, 1.0)),
+                min_size=1, max_size=4),
+       any_variant)
+@example(1000, [8.0, 9.0, 10.0], 30, [], (0.3,), "default")
+@example(1000, [8.0, 9.0, 10.0], 30, [0], (0.3,), "bogus")
+@example(1000, [8.0, 9.0, math.nan], 30, [0], (0.3,), "default")
+def test_cds_bursts_matches_reference(maximum, series, t, drift, schedule, variant):
+    drift_windows, reference_windows = list(drift), list(drift)
+    assert (_result(cds_bursts, maximum, array("d", series), t, drift_windows, schedule, variant)
+            == _result(reference_cds_bursts, maximum, array("d", series), t,
+                       reference_windows, schedule, variant))
+    assert drift_windows == reference_windows
 
 
 def _scored(score, ts, cds, interval):
