@@ -271,8 +271,6 @@ def _cmd_eval(args) -> int:
     if args.repeat is None and not args.signals:
         raise UsageError("offline eval needs --signals")
     truth = read_ground_truth(args.truth, args.delimiter)
-    if not truth.cd_indices:
-        raise ValueError("ground-truth file is empty, nothing to score")
     if args.repeat is not None:
         report = repeated_timing(_timing_runner(args, configs, truth), truth, runs=args.repeat,
                                  batches=args.batches, drift_interval=args.delta)

@@ -11,11 +11,14 @@ if a run's record-count report (fp included) differs from the first's.
 Signals after the last drift are reported separately; when the drift
 interval is known, a trailing signal more than one full interval past the
 last drift counts as a false positive. Drifts whose bucket is empty are
-false negatives.
+false negatives. With no drift at all (an empty truth file), every signal
+is a false positive. ``periodic_null`` and ``random_null`` are null
+detectors, matched to a detector's signal count.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 from statistics import fmean, stdev
@@ -96,14 +99,15 @@ def distances(signals: list[DriftSignal], truth: GroundTruth,
     """
     check_drift_interval(drift_interval)
     cds = truth.cd_indices
-    if not cds:
-        raise ValueError("ground truth is empty, nothing to score")
     if any(b <= a for a, b in zip(cds, cds[1:])):
         raise ValueError("ground-truth indices must be strictly increasing")
     ts = [signal.t for signal in signals]
     if any(b < a for a, b in zip([0, *ts], ts)):
         raise ValueError("signals must be sorted by record index")
     report = EvalReport()
+    if not cds:
+        report.false_positives = len(ts)
+        return report
     lo = 0
     for c in cds:
         hi = bisect_right(ts, c, lo)
@@ -121,6 +125,19 @@ def distances(signals: list[DriftSignal], truth: GroundTruth,
     if drift_interval is not None:
         report.false_positives = len(ts) - bisect_right(ts, last_cd + drift_interval, lo)
     return report
+
+
+def periodic_null(count: int, n: int) -> list[DriftSignal]:
+    """``count`` signals evenly spaced over records 1 to ``n``, the last at ``n``."""
+    if not 0 <= count <= n:
+        raise ValueError("a null needs 0 <= count <= n signals")
+    return [DriftSignal("periodic", k * n // count, k, 0.0) for k in range(1, count + 1)]
+
+
+def random_null(count: int, n: int, seed: int) -> list[DriftSignal]:
+    """``count`` signals at distinct records from 1 to ``n``, drawn by ``Random(seed)``."""
+    ts = sorted(random.Random(seed).sample(range(1, n + 1), count))
+    return [DriftSignal("random", t, k, 0.0) for k, t in enumerate(ts, start=1)]
 
 
 def check_drift_interval(drift_interval: int | None) -> None:

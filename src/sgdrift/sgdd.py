@@ -41,8 +41,10 @@ placeholders it reads, its own window last. After the check, a readable
 window still unfilled is filled only if one of the b - 1 readable windows
 before it holds a placeholder. So with b = 1 no window integrates ahead
 of its check, with b = 2 readable windows alternate, and while b holds a
-check integrates at most twice. O1 is recomputed whenever the graph grew,
-from the sines and cosines the graph takes as it writes each phase.
+check integrates at most twice. O1 follows the same rule: an unreadable
+window appends ``None`` to ``o1``, a readable one takes the coherence (from
+the cached sines and cosines) only if the graph grew or the window before
+holds ``None``, and a check fills older placeholders from ``graph_at``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class SgddConfig:
 class SgddState:
     """Detector state for one stream, built from its config alone.
 
-    ``o2`` holds ``None`` for a window whose O2 nothing has read yet.
+    ``o1`` holds ``None`` for a window whose O1 no check could read when it
+    closed, and ``o2`` for a window whose O2 nothing has read yet.
     ``sizes`` holds ``(V, E, G)`` per closed window: its graph's vertex and
     edge counts and ``drawn``, the frequencies drawn before it. ``cursors``
     holds two ``[rng, at]``: an RNG seeded with ``config.seed`` that has
@@ -101,7 +104,7 @@ class SgddState:
     profile: BurstProfile = field(default_factory=BurstProfile, init=False)
     window_graph: BipartiteWindow = field(default_factory=BipartiteWindow, init=False)
     graph: OscillatorGraph = field(default_factory=OscillatorGraph, init=False)
-    o1: list[float] = field(default_factory=list, init=False)
+    o1: list[float | None] = field(default_factory=list, init=False)
     o2: list[float | None] = field(default_factory=list, init=False)
     drift_windows: list[int] = field(default_factory=lambda: [0], init=False)
     t: int = field(default=0, init=False)
@@ -118,10 +121,10 @@ def sprime_length(s: int, d: int) -> int:
     return max(1, -(-s // d))
 
 
-def cdc_butterfly(maximum: float, average: float, o1: list[float],
+def cdc_butterfly(maximum: float, average: float, o1: list[float | None],
                   o2: list[float | None], t: int, drift_windows: list[int],
                   variant: str = "default",
-                  fill: Callable[[int, int], None] | None = None) -> DriftSignal | None:
+                  fill: Callable[[list, int, int], None] | None = None) -> DriftSignal | None:
     """Drift check over the coherence series for the current window.
 
     ``o1``/``o2`` hold one value per closed window (element 0 belongs to
@@ -129,10 +132,11 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float],
     the comparison anchors and the suffixes are drawn from the windows
     before W. Fewer than S preceding windows is insufficient evidence, not
     an error. C3 is tested first, then C1, which reads ``o1`` only, and
-    ``o2`` is read only when both hold; ``fill(first, stop)``, if given, is
-    called just before that read with the slice ``o2[first:stop]`` it
-    covers. On a signal the window is appended to the drift log, which
-    tightens C1 (the precision exponent is d+2) for later checks.
+    ``o2`` is read only when both hold. ``fill(series, first, stop)``, if
+    given, is called just before each read with the slice it covers: for
+    ``o1`` once C3 holds, for ``o2`` once C1 holds too. On a signal the
+    window is appended to the drift log, which tightens C1 (the precision
+    exponent is d+2) for later checks.
     """
     window = len(o1)
     if window - drift_windows[-1] <= 10:
@@ -145,12 +149,14 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float],
     if prior < s:
         return None
     alpha = d + 2
+    if fill is not None:
+        fill(o1, prior - sprime, window)
     current_o1 = o1[prior]
     mu1 = fmean(o1[prior - sprime:prior])
     if not abs(mu1 - current_o1) < 10.0 ** (-alpha):
         return None
     if fill is not None:
-        fill(prior - s, window)
+        fill(o2, prior - s, window)
     current_o2 = o2[prior]
     suffix = o2[prior - s:prior]
     more = sum(1 for v in suffix if v > current_o2)
@@ -166,20 +172,16 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float],
 def rebuild_o2(state: SgddState, index: int) -> float:
     """Compute window ``index``'s O2, store it at ``state.o2[index]`` and return it.
 
-    Every window's O2 is computed here, from the graph as it stood then
-    (the live graph, or ``graph.prefix(V, E)`` if it has grown since) and
-    the Gaussian draws G to G + V of an RNG seeded with ``config.seed``:
-    the cursor furthest along that has not passed G seeks to it, or a
+    Every window's O2 is computed here, from ``graph_at(state, index)`` and
+    the Gaussian draws G to G + V of an RNG seeded with ``config.seed``: the
+    cursor furthest along that has not passed G seeks to it, or a
     fresh RNG does if both have. A seek that passes an unfilled window just
     before this one copies its state there to the other cursor if that
     lags it by more than ``REPLAY_CHUNK`` draws. A fresh RNG seeks from draw
     0, O(G) uniforms, so rebuilding newest first is quadratic in the stream.
     ``sgdd_step`` fills oldest first; it started no fresh RNG on 25 streams.
     """
-    n, m, g = state.sizes[index]
-    graph = state.graph
-    if n != len(graph) or m != graph.edge_count():
-        graph = graph.prefix(n, m)
+    graph, g = graph_at(state, index), state.sizes[index][2]
     cursor = max((c for c in state.cursors if c[1] <= g), key=itemgetter(1),
                  default=None) or [random.Random(state.config.seed), 0]
     rng, at = cursor
@@ -194,8 +196,14 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     assign_phases(graph, rng, state.config.sigma)
     delta = rk4_step(graph)
     value = state.o2[index] = order_parameter([delta[v] for v in graph.order])
-    cursor[1] = g + n
+    cursor[1] = g + len(graph)
     return value
+
+
+def graph_at(state: SgddState, index: int) -> OscillatorGraph:
+    """The graph as window ``index`` closed: the live one, or its ``prefix``."""
+    (n, m, _), graph = state.sizes[index], state.graph
+    return graph if n == len(graph) and m == graph.edge_count() else graph.prefix(n, m)
 
 
 def _seek(rng: random.Random, at: int, g: int) -> None:
@@ -234,30 +242,34 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
                              window_graph.j_last_tau.values())
     size_before = len(graph)
     project(window_graph, graph, young)
+    window = len(o1) + 1
+    drift_windows, variant = state.drift_windows, state.config.variant
+    bound = suffix_bound(profile.maximum, len(drift_windows), variant)
+    # The first window a check can read (module docstring).
+    readable = drift_windows[-1] + 11 - bound
+    if window < readable and graph.vertices:
+        o1.append(None)
     # Edges only arrive with new vertices and phases depend on the edges
     # alone, so an unchanged vertex count means an unchanged O1.
-    if len(graph) != size_before:
+    elif graph.vertices and (len(graph) != size_before or o1[-1] is None):
         o1.append(graph.coherence())
     else:
         o1.append(o1[-1] if o1 else 0.0)
-    window = len(o1)
-    drift_windows, variant = state.drift_windows, state.config.variant
-    bound = suffix_bound(profile.maximum, len(drift_windows), variant)
     o2.append(None if graph.vertices else 0.0)
     state.sizes.append((len(graph), graph.edge_count(), state.drawn))
     state.drawn += len(graph)
 
-    def fill(first: int, stop: int) -> None:
+    def fill(series: list[float | None], first: int, stop: int) -> None:
         for k in range(first, stop):
-            if o2[k] is None:
-                rebuild_o2(state, k)
+            if series[k] is None:
+                series[k] = (rebuild_o2(state, k) if series is o2
+                             else graph_at(state, k).coherence())
 
     signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
                            drift_windows, variant, fill)
-    # A check reads at most ``bound`` windows before its own; filling this
-    # one when a readable window among the bound - 1 before it is unfilled
-    # leaves no check more than one placeholder to rebuild.
-    readable = drift_windows[-1] + 11 - bound
+    # Filling this window (unless a signal here did) when a readable one
+    # among the bound - 1 before it is unfilled leaves no check more than one
+    # placeholder to rebuild.
     if (o2[-1] is None and window >= readable
             and None in o2[max(window - bound, readable - 1, 0):-1]):
         rebuild_o2(state, window - 1)

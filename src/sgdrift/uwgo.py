@@ -131,8 +131,8 @@ class OscillatorGraph:
         minus what ``edges[m:]`` added to them, in exact integer arithmetic,
         and only the phases those edges touched are reduced again. Its
         canonical order is ``order`` restricted to ids below ``n``, and its
-        frequencies are zero. It is a graph to draw frequencies for and
-        integrate, not to project into.
+        frequencies are zero. It is a graph to take the coherence of, to
+        draw frequencies for and to integrate, not to project into.
         """
         past = OscillatorGraph()
         past.keys, past.ident = self.keys[:n], self.ident[:n]

@@ -584,12 +584,13 @@ def reference_distances(signals: list[DriftSignal], truth: GroundTruth,
     """``harness.distances`` built from per-drift bucket lists, the oracle it must match."""
     if drift_interval is not None and drift_interval <= 0:
         raise ValueError("drift interval must be positive")
-    if not truth.cd_indices:
-        raise ValueError("ground truth is empty, nothing to score")
     if any(b <= a for a, b in zip(truth.cd_indices, truth.cd_indices[1:])):
         raise ValueError("ground-truth indices must be strictly increasing")
     buckets, trailing = _reference_bucketize(signals, truth)
     report = EvalReport()
+    if not truth.cd_indices:  # no drift: every signal is a false alarm
+        report.false_positives = len(trailing)
+        return report
     for c, bucket in zip(truth.cd_indices, buckets):
         cd = CdReport(index=c, count=len(bucket))
         if bucket:

@@ -369,14 +369,21 @@ def test_eval_offline_fixture(tmp_path, capsys):
     assert "d_1f" in capsys.readouterr().out
 
 
-def test_eval_empty_truth_is_data_error(tmp_path, capsys):
+def test_eval_empty_truth_scores_every_signal_as_a_false_positive(tmp_path, capsys):
+    # A drift-free stream's truth file is empty; offline eval scores it.
     signals = tmp_path / "signals.jsonl"
-    signals.write_text("")
+    signals.write_text("".join(DriftSignal("sgdp", t, t, 0.0).to_json() + "\n"
+                               for t in (5, 40)))
     truth = tmp_path / "t.truth"
     truth.write_text("")
-    code = main(["eval", "--signals", str(signals), "--truth", str(truth),
-                 "--out", str(tmp_path)])
-    assert code == 2
+    for delta in ([], ["--delta", "10"]):
+        code = main(["eval", "--signals", str(signals), "--truth", str(truth),
+                     "--out", str(tmp_path), *delta])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["per_cd"], report["false_negatives"], report["false_positives"]) == \
+            ([], [], 2)
+        assert capsys.readouterr().out.splitlines()[-1].split("\t") == ["", "", "2", "0"]
 
 
 def test_eval_repeat_timing_protocol(tmp_path, capsys):

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, GroundTruth, generate
-from sgdrift.harness import DeterminismError, distances, repeated_timing
+from sgdrift.harness import (DeterminismError, distances, periodic_null, random_null,
+                             repeated_timing)
+from sgdrift.sgdd import run_sgdd
 from sgdrift.sgdp import run_sgdp
 from sgdrift.signals import DriftSignal
 
@@ -73,17 +75,68 @@ def test_unsorted_signals_rejected():
         distances([sig(995), sig(900)], TRUTH_ONE)
 
 
-def test_empty_truth_rejected():
-    with pytest.raises(ValueError):
-        distances([sig(1)], GroundTruth((), ()))
-    with pytest.raises(ValueError):
+def test_repeated_truth_index_rejected():
+    with pytest.raises(ValueError, match="strictly increasing"):
         distances([sig(1)], GroundTruth((5, 5), (1, 1)))
+
+
+def test_empty_truth_scores_every_signal_as_a_false_positive():
+    # A drift-free stream writes an empty truth file: no drift to attribute
+    # a signal to, so none is missed and every signal is a false alarm,
+    # with or without a drift interval.
+    empty = GroundTruth((), ())
+    for interval in (None, 300):
+        report = distances([sig(1), sig(900), sig(1400)], empty, drift_interval=interval)
+        assert (report.per_cd, report.false_negatives, report.false_positives) == ([], [], 3)
+        assert report.after_last.count == 0
+    assert distances([], empty).false_positives == 0
+    with pytest.raises(ValueError, match="sorted"):
+        distances([sig(5), sig(1)], empty)
+    header, row = distances([sig(1)], empty).to_table().splitlines()
+    assert header.split("\t") == ["after_f", "after_l", "fp", "fn"]
+    assert row.split("\t") == ["", "", "1", "0"]
+
+
+def test_drift_free_golden_stream_scores_both_detectors_as_false_alarms():
+    # The drift-free golden stream (tests/test_golden_streams.py): base
+    # parameters throughout and an empty truth file. Both detectors still
+    # fire, and every signal scores as a false positive.
+    records, truth = generate(GeneratorConfig(seed=7, prefix_len=0),
+                              DriftSchedule.make("gradual", 10**9), 20_000)
+    assert truth.cd_indices == ()
+    for signals, count in ((run_sgdp(r.tau for r in records), 329), (run_sgdd(records), 207)):
+        report = distances(signals, truth, drift_interval=4000)
+        assert len(signals) == report.false_positives == count
+        assert report.per_cd == [] and report.false_negatives == []
+
+
+def test_periodic_null_spaces_its_signals_evenly():
+    null = periodic_null(4, 10)
+    assert [(s.t, s.window) for s in null] == [(2, 1), (5, 2), (7, 3), (10, 4)]
+    assert periodic_null(0, 10) == []
+    assert [s.t for s in periodic_null(10, 10)] == list(range(1, 11))
+    for count in (-1, 11):  # 11 signals in 10 records would put one at record 0
+        with pytest.raises(ValueError, match="count <= n"):
+            periodic_null(count, 10)
+
+
+def test_random_null_draws_distinct_records_from_its_seed():
+    null = random_null(50, 1000, seed=3)
+    ts = [s.t for s in null]
+    assert ts == sorted(set(ts)) and len(ts) == 50 and 1 <= ts[0] and ts[-1] <= 1000
+    assert [s.window for s in null] == list(range(1, 51))
+    assert random_null(50, 1000, seed=3) == null
+    assert [s.t for s in random_null(50, 1000, seed=4)] != ts
+    assert [s.t for s in random_null(1000, 1000, seed=0)] == list(range(1, 1001))
+    for count in (-1, 1001):
+        with pytest.raises(ValueError):
+            random_null(count, 1000, seed=0)
 
 
 def test_scoring_cannot_tell_sgdp_from_a_metronome():
     """On the ``gradual-seed7-long`` golden stream, sgdp's 309 signals and
-    309 evenly spaced ones both score no false positive and no false
-    negative at a 4,000-record drift interval.
+    its periodic null, 309 evenly spaced ones, both score no false positive
+    and no false negative at a 4,000-record drift interval.
 
     A false positive counts only past the last drift plus the interval,
     here record 20,000, the stream's end; a drift is missed only if no
@@ -96,9 +149,8 @@ def test_scoring_cannot_tell_sgdp_from_a_metronome():
     records, truth = generate(GeneratorConfig(seed=7), DriftSchedule.make("gradual", 4000),
                               20_000)
     signals = run_sgdp(r.tau for r in records)
-    n, count = len(records), len(signals)
-    metronome = [sig((k + 1) * n // count, window=k + 1) for k in range(count)]
-    assert truth.cd_indices == (1000, 8000, 12000, 16000) and count == 309
+    metronome = periodic_null(len(signals), len(records))
+    assert truth.cd_indices == (1000, 8000, 12000, 16000) and len(signals) == 309
     for scored in (signals, metronome):
         report = distances(scored, truth, drift_interval=4000)
         assert (report.false_positives, report.false_negatives) == (0, [])

@@ -9,8 +9,8 @@ import pytest
 from helpers import FIG5_DOTTED, FIG5_SOLID, reference_sgdd, taus_to_records
 from sgdrift import sgdd
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
-from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, rebuild_o2, run_sgdd,
-                          sgdd_step, sprime_length)
+from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, graph_at, rebuild_o2,
+                          run_sgdd, sgdd_step, sprime_length)
 from sgdrift.sgdp import SgdpConfig
 from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
 from sgdrift.uwgo import OscillatorGraph
@@ -96,23 +96,32 @@ def test_cdc_tests_spacing_before_reading_the_series():
 
 @pytest.mark.libm
 def test_cdc_tests_steadiness_before_reading_o2():
-    # C3 holds but O1 moved, so the O2 suffix, all placeholders, is never
-    # read, and neither is the hook that would fill it.
-    o1 = [0.4] * 11 + [0.6]
-    fills = []
-    assert cdc_butterfly(100, 10, o1, [None] * 12, t=100, drift_windows=[0],
-                         fill=lambda first, stop: fills.append((first, stop))) is None
-    assert fills == []
-    # Steady O1: the hook is called with the slice the check reads.
-    o1[-1] = 0.4
+    # S = 2 and S' = 2 at d = 1. Once C3 holds, the hook fills the O1 slice
+    # C1 reads; here O1 moved, so the O2 suffix, all placeholders, is never
+    # read, and the hook is not called for it.
+    o1 = [None] * 12
     o2 = [None] * 12
+    fills = []
 
-    def fill(first, stop):
-        fills.append((first, stop))
-        o2[first:stop] = [0.9] * (stop - first - 1) + [0.1]
+    def fill(series, first, stop):
+        fills.append(("o1" if series is o1 else "o2", first, stop))
+        if series is o1:
+            o1[first:stop] = [0.4] * (stop - first - 1) + [o1_now]
+        else:
+            o2[first:stop] = [0.9] * (stop - first - 1) + [0.1]
 
+    o1_now = 0.6
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0], fill=fill) is None
+    assert fills == [("o1", 9, 12)] and o2 == [None] * 12
+    # Steady O1: the O2 slice the check reads is filled after the O1 one.
+    o1[:], o1_now = [None] * 12, 0.4
+    fills.clear()
     assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[0], fill=fill) is not None
-    assert fills == [(9, 12)]
+    assert fills == [("o1", 9, 12), ("o2", 9, 12)]
+    # C3 fails: neither slice is read or filled.
+    fills.clear()
+    assert cdc_butterfly(100, 10, o1, o2, t=100, drift_windows=[5], fill=fill) is None
+    assert fills == []
 
 
 def test_cdc_insufficient_series_is_quiet():
@@ -222,9 +231,9 @@ def test_fig5_stream_one_window_no_signal():
     assert signals == []
     assert len(state.o1) == 1 and len(state.o2) == 1
     assert len(state.graph) == 8  # the worked example's young butterflies
-    assert state.o1[0] > 0.0
-    # No check can read window 1's O2, so it was skipped; rebuild it.
-    assert state.o2 == [None]
+    # No check can read window 1's O1 or O2, so both were skipped.
+    assert state.o1 == [None] and state.o2 == [None]
+    assert graph_at(state, 0).coherence() > 0.0
     # predicted phase changes are small and clustered: high coherence
     assert rebuild_o2(state, 0) > 0.9
 
@@ -253,7 +262,9 @@ def _reference_run(records, config):
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, variant):
     # With the bound on S forced down, windows that spaced checks read are
-    # skipped too, and every such read goes through rebuild_o2.
+    # skipped too, and every such read goes through rebuild_o2 for O2 and
+    # through the fill hook for O1, some of it from a graph that has grown
+    # since, rebuilt by prefix.
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     config = SgddConfig(seed=seed, variant=variant)
@@ -261,6 +272,15 @@ def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, varian
     bound = sgdd.suffix_bound
     monkeypatch.setattr(sgdd, "suffix_bound",
                         lambda maximum, d, variant: bound(maximum, d, variant) - 8)
+    past_o1 = []
+    prefix, coherence = OscillatorGraph.prefix, OscillatorGraph.coherence
+
+    def marked_prefix(graph, n, m):
+        past = prefix(graph, n, m)
+        past.coherence = lambda: past_o1.append((n, m)) or coherence(past)
+        return past
+
+    monkeypatch.setattr(OscillatorGraph, "prefix", marked_prefix)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
     expected = SGDD_GOLDEN[(pattern, seed)] if variant == "default" else SGDD_APPENDIX_GOLDEN
     assert _digest(signals) == expected
@@ -268,6 +288,31 @@ def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, varian
     assert all(s.params["mu1"] == s.params["O1"] for s in signals)
     assert rebuilt
     assert [o2[k] for k in rebuilt] == [unskipped[k] for k in rebuilt]
+    assert past_o1, "no O1 fill read a graph that has grown since"
+
+
+@pytest.mark.libm
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
+def test_filled_o1_placeholders_give_the_reference_series(pattern, seed, variant):
+    # Every window that no check could read holds None in o1. Filled from
+    # the graph as it stood then, live or rebuilt by prefix, the series is
+    # the literal detector's, bit for bit.
+    records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
+                          DriftSchedule.make(pattern, 500), 3000)
+    config = SgddConfig(seed=seed, variant=variant)
+    state = SgddState(config=config)
+    for r in records:
+        sgdd_step(state, r)
+    past = 0
+    for k, value in enumerate(state.o1):
+        if value is None:
+            graph = graph_at(state, k)
+            past += graph is not state.graph
+            state.o1[k] = graph.coherence()
+    assert past
+    _, expected, _ = reference_sgdd(records, x=config.x, sigma=config.sigma,
+                                    seed=config.seed, variant=config.variant)
+    assert [v.hex() for v in state.o1] == [v.hex() for v in expected]
 
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
@@ -435,7 +480,14 @@ def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     for r in records:
         sgdd_step(state, r)
     # Windows 1 and 2 close on an empty graph; window w holds w - 2 vertices.
-    assert set(state.o1[2:]) == {1.0} and state.graph.edge_count() == 0
+    # O1 is taken only where a check can read it: from nine windows after
+    # the last signal while the bound on S is 2 (d = 1, 3) and from ten
+    # after it while the bound is 1 (d = 2, 4), so windows 3-8, 12-20, 23-30
+    # and 34-37 hold None.
+    assert state.o1[:2] == [0.0, 0.0] and set(state.o1[2:]) == {1.0, None}
+    assert [k + 1 for k, value in enumerate(state.o1) if value is None] == [
+        *range(3, 9), *range(12, 21), *range(23, 31), *range(34, 38)]
+    assert state.graph.edge_count() == 0
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
     assert rebuilt == [9, 8, 10, 20, 21, 31, 30, 32]
     assert prefixes == [(7, 0), (19, 0), (29, 0)]
