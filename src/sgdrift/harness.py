@@ -127,15 +127,20 @@ def distances(signals: list[DriftSignal], truth: GroundTruth,
     return report
 
 
-def periodic_null(count: int, n: int) -> list[DriftSignal]:
-    """``count`` signals evenly spaced over records 1 to ``n``, the last at ``n``."""
+def _check_null(count: int, n: int) -> None:
     if not 0 <= count <= n:
         raise ValueError("a null needs 0 <= count <= n signals")
+
+
+def periodic_null(count: int, n: int) -> list[DriftSignal]:
+    """``count`` signals evenly spaced over records 1 to ``n``, the last at ``n``."""
+    _check_null(count, n)
     return [DriftSignal("periodic", k * n // count, k, 0.0) for k in range(1, count + 1)]
 
 
 def random_null(count: int, n: int, seed: int) -> list[DriftSignal]:
     """``count`` signals at distinct records from 1 to ``n``, drawn by ``Random(seed)``."""
+    _check_null(count, n)
     ts = sorted(random.Random(seed).sample(range(1, n + 1), count))
     return [DriftSignal("random", t, k, 0.0) for k, t in enumerate(ts, start=1)]
 

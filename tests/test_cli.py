@@ -512,7 +512,9 @@ def test_eval_repeat_drift_past_stream_end_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", ['{"t": 5}', "[1,2]", '{"mode": "sgdp", "t": "5", "W": 1}',
                                   "not json", '{"mode": "sgdp", "t": 0, "W": 1}',
                                   '{"mode": "sgdp", "t": -5, "W": 1}',
-                                  '{"mode": "sgdp", "t": 5, "W": 0}'])
+                                  '{"mode": "sgdp", "t": 5, "W": 0}',
+                                  '{"mode": "sgdp", "t": 1, "W": 1, "wall_ms": "x", "params": {}}',
+                                  '{"mode": "sgdp", "t": 1, "W": 1, "wall_ms": 1.0, "params": 5}'])
 def test_eval_malformed_signal_line_is_data_error_naming_it(tmp_path, capsys, line):
     signals = tmp_path / "signals.jsonl"
     signals.write_text(DriftSignal("sgdp", 900, 90, 1.0).to_json() + "\n" + line + "\n")

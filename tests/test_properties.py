@@ -45,6 +45,7 @@ import math
 import random
 from array import array
 from dataclasses import asdict
+from itertools import product
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -158,13 +159,18 @@ def test_window_matches_edge_set_reference(records, young):
         assert enumerate_young(window, young) == brute_force_butterflies(edges, young_js)
 
 
-# Bursts of edges over few vertices, so that butterflies form, share
-# j-vertices and come back; with ``fresh`` every edge gets its own vertices
-# and the stream holds no butterfly at all.
-edge_bursts = st.lists(st.tuples(st.integers(-3, 20),
-                                 st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
-                                          min_size=1, max_size=6)),
-                       max_size=30)
+# Bursts of edges over few vertices: every i-vertex of a burst joins every
+# j-vertex of it, so butterflies form. A burst sends its edges to the pool
+# (0), where butterflies share j-vertices and come back; to j-vertices of its
+# own (1), whose butterflies link to the pool's only through i-vertices; or
+# gives every edge vertices of its own (2), forming no butterfly. With twelve
+# or more bursts, more than half of the drawn streams reach the first window
+# a check can read with a butterfly in the graph.
+edge_bursts = st.lists(
+    st.tuples(st.integers(-3, 20), st.sampled_from([0, 1, 2]),
+              st.sets(st.integers(0, 3), min_size=1, max_size=3),
+              st.sets(st.integers(0, 4), min_size=1, max_size=3)),
+    min_size=12, max_size=30)
 
 
 def _expected_phases(graph) -> list[float]:
@@ -178,16 +184,22 @@ def _expected_phases(graph) -> list[float]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(edge_bursts, st.booleans(), st.sampled_from([0.25, 0.5, 1.0]), st.integers(0, 3))
-def test_sgdd_window_bookkeeping_matches_recomputation(bursts, fresh, x, seed):
+@given(edge_bursts, st.sampled_from([0.25, 0.5, 1.0]), st.integers(0, 3))
+# One butterfly from the first window on: window 9 is the first a check can
+# read (S is at most 2), and its O1 must be computed. Then a stream that
+# forms no butterfly at all.
+@example([(tau, 0, {0, 1}, {0, 1}) for tau in range(12)], 0.5, 0)
+@example([(tau, 2, {0, 1}, {0, 1}) for tau in range(12)], 0.5, 0)
+def test_sgdd_window_bookkeeping_matches_recomputation(bursts, x, seed):
     state = SgddState(config=SgddConfig(x=x, seed=seed))
     reference = ReferenceProfile()
     windows = 0
     t = 0
-    for tau, edges in bursts:
-        for a, b in edges:
+    for burst, (tau, target, i_side, j_side) in enumerate(bursts):
+        for a, b in product(sorted(i_side), sorted(j_side)):
             t += 1
-            i, j = (f"i{t}", f"j{t}") if fresh else (f"i{a}", f"j{b}")
+            i, j = ((f"i{a}", f"j{b}") if target == 0 else (f"i{a}", f"j{b}.{burst}")
+                    if target == 1 else (f"i{t}", f"j{t}"))
             signal = sgdd_step(state, SGR(i, j, 1.0, tau, t))
             _, starts_window = reference_ingest(reference, tau)
             windows += starts_window
