@@ -87,44 +87,69 @@ def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
 _new_tuple = tuple.__new__
 
 
+# The parse_sgr slots. Each starts as a pair its conversion gives, so no
+# text that fails to convert is ever taken as converted.
+_tau_slot = ("0", 0)
+_omega_slot = ("1.0", 1.0)
+
+
 def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
     """Parse one delimited stream line into a record with arrival index ``t``.
 
     Returns None for blank lines (skip signal). Raises :class:`SgrParseError`
     naming the offending field otherwise. Surrounding whitespace is
     dropped from the line and from every field.
+
+    The raw line is split once. A record of four fields with non-empty ids
+    converts its timestamp and weight only when their text differs from
+    the last text converted; two module-level slots, one per field, keep
+    that text and its value. The slots hold only conversions that
+    succeeded, and each is one tuple swapped whole, so threads parsing
+    different streams never read a value of the wrong text. A reused weight
+    is the very float object parsed before, so two ``nan`` records compare
+    equal as tuples (identity comes before ``==``). Every other line is
+    stripped before it is split.
     """
+    global _tau_slot, _omega_slot
+    # A ValueError here is a wrong field count, an empty delimiter or a
+    # failed conversion, whose outcome the strip-first path below gives.
+    try:
+        i, j, omega_s, tau_s = line.split(delimiter)
+        i = i.strip()
+        j = j.strip()
+        if i and j:
+            text, omega = _omega_slot
+            if omega_s != text:
+                omega = float(omega_s)
+                _omega_slot = (omega_s, omega)
+            text, tau = _tau_slot
+            if tau_s != text:
+                tau = int(tau_s)
+                _tau_slot = (tau_s, tau)
+            return _new_tuple(SGR, (i, j, omega, tau, t))
+    except ValueError:
+        pass
+    # Edge whitespace that holds the delimiter makes the raw split's first
+    # or last field blank, or adds one, and sends the line here. float()
+    # and int() accept only whitespace that str.strip() drops, so a line
+    # whose edges hold no delimiter gets the record the raw split gives.
     stripped = line.strip()
     if not stripped:
         return None
     parts = stripped.split(delimiter)
     if len(parts) != 4:
         raise SgrParseError(f"expected 4 fields, got {len(parts)}")
-    i, j, omega_s, tau_s = parts
-    i = i.strip()
+    i, j, omega_s, tau_s = (part.strip() for part in parts)
     if not i:
         raise SgrParseError("field 1 (i) is empty")
-    j = j.strip()
     if not j:
         raise SgrParseError("field 2 (j) is empty")
-    # float() and int() ignore surrounding whitespace themselves, so only a
-    # failed conversion pays for the strip.
     try:
         omega = float(omega_s)
     except ValueError:
-        omega = _convert_stripped(float, omega_s, "field 3 (omega) is not a real number")
+        raise SgrParseError(f"field 3 (omega) is not a real number: {omega_s!r}") from None
     try:
         tau = int(tau_s)
     except ValueError:
-        tau = _convert_stripped(int, tau_s, "field 4 (tau) is not an integer")
+        raise SgrParseError(f"field 4 (tau) is not an integer: {tau_s!r}") from None
     return _new_tuple(SGR, (i, j, omega, tau, t))
-
-
-def _convert_stripped(kind, text: str, message: str):
-    # str.strip() also drops the separators U+001C..U+001F, which float()
-    # and int() keep, so a field padded with them converts only here.
-    text = text.strip()
-    try:
-        return kind(text)
-    except ValueError:
-        raise SgrParseError(f"{message}: {text!r}") from None

@@ -38,11 +38,15 @@ whose formula runs without helper calls, its count threshold, cached as
 an integer ratio, and its check, which counts both sides in one loop,
 must give the plain helper-per-formula versions' values, signals and
 errors; a parsed record, built without its class's Python-level
-``__new__``, must still be an ``SGR``.
+``__new__``, must still be an ``SGR``. The parser, which splits the raw
+line once and reuses the last timestamp and weight it converted while
+their text repeats, must give the strip-first reference's record or
+error, bit for bit, line after line of drawn sequences.
 """
 
 import math
 import random
+import struct
 from array import array
 from dataclasses import asdict
 from itertools import product
@@ -66,8 +70,7 @@ from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpCon
                           SgdpState, cds_bursts, count_threshold, sgdp_step, suffix_bound,
                           suffix_size)
 from sgdrift.signals import DriftSignal
-from sgdrift.stream_model import (SGR, BurstProfile, SgrParseError, ingest_timestamp,
-                                  parse_sgr)
+from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp, parse_sgr
 from sgdrift.uwgo import (TWO_PI, OscillatorGraph, assign_phases, butterfly_ident,
                           order_parameter, rk4_step)
 from test_golden import SGDD_GOLDEN
@@ -183,7 +186,10 @@ def _expected_phases(graph) -> list[float]:
     return phases
 
 
-@settings(max_examples=200, deadline=None)
+# No shrink phase: shrinking a failing stream of 12-30 bursts takes up to
+# two minutes, so a failure reports the stream as drawn.
+@settings(max_examples=200, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(edge_bursts, st.sampled_from([0.25, 0.5, 1.0]), st.integers(0, 3))
 # One butterfly from the first window on: window 9 is the first a check can
 # read (S is at most 2), and its O1 must be computed. Then a stream that
@@ -449,23 +455,77 @@ tokens = st.one_of(
 padded = st.builds(lambda a, tok, b: a + tok + b, spaces, tokens, spaces)
 
 
-def _outcome(parse, line, delimiter):
-    # The repr, so that two parses of "nan" agree (nan != nan); float reprs
-    # round-trip, so nothing else that differs compares equal.
+def _outcome(parse, line, delimiter, t):
+    # The repr, so that two parses of "nan" agree (nan != nan), and the
+    # weight's bits, which tell -nan from nan; float reprs round-trip, so
+    # nothing else that differs compares equal. An empty delimiter's plain
+    # ValueError counts as an outcome too.
     try:
-        record = parse(line, 7, delimiter)
-    except SgrParseError as exc:
-        return ("error", str(exc))
-    return type(record), repr(record)
+        record = parse(line, t, delimiter)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    bits = None if record is None else struct.pack("<d", record.omega)
+    return type(record), repr(record), bits
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.lists(padded, min_size=0, max_size=6), st.sampled_from([",", "|", ";", "\t"]),
-       spaces)
-def test_parse_matches_reference(fields, delimiter, tail):
-    line = delimiter.join(fields) + tail
-    assert _outcome(parse_sgr, line, delimiter) == _outcome(reference_parse_sgr, line,
-                                                            delimiter)
+# Stream lines for the sequence test: mostly records whose timestamp and
+# weight text come from a few values, each under several spellings (7,
+# 07, +7, " 7"; 1.0, 1.00; nan, -nan; 0, -0), so that text repeats, changes
+# and changes back. A rough record has one flaw: an empty id, a field
+# that fails to convert (padded with \x1c, which only str.strip() drops,
+# or no number at all) or edge padding that may hold the delimiter. Blank
+# lines and free-form ones (the padded field text above) fall between the
+# records, and every line comes one to three times in a row, as a burst's
+# timestamp does.
+tau_texts = st.sampled_from([["7", "07", "+7", " 7", "7 "], ["8", "08"], ["10", "1_0"]]
+                            ).flatmap(st.sampled_from)
+omega_texts = st.sampled_from([["1.0", "1.00", "1", "+1.0", " 1.0", "1.0\t", "1e0"],
+                               ["nan", "-nan", "NaN"], ["0", "-0", "-0.0"]]
+                              ).flatmap(st.sampled_from)
+ids = st.sampled_from(["a", "b", "c", " a", "b "])
+edges = st.sampled_from(["", " ", "\n"])
+rough_edges = st.text(alphabet=" \t\n\x1c\x85\xa0,", max_size=3)
+bad_ids = st.sampled_from(["", " ", "\x1c"])
+flaws = [bad_ids, bad_ids, st.sampled_from(["\x1c1.0", "", "y", "1.0.0"]),
+         st.sampled_from(["\x1c7", "7.0", "", "x"])]
+
+
+@st.composite
+def stream_line(draw, delimiter):
+    kind = draw(st.sampled_from(["record"] * 3 + ["rough", "blank", "free"]))
+    if kind == "blank":
+        return draw(spaces)
+    if kind == "free":
+        return delimiter.join(draw(st.lists(padded, max_size=6))) + draw(spaces)
+    fields = [draw(ids), draw(ids), draw(omega_texts), draw(tau_texts)]
+    head, tail = draw(edges), draw(edges)
+    if kind == "rough":
+        flaw = draw(st.integers(0, 4))
+        if flaw < 4:
+            fields[flaw] = draw(flaws[flaw])
+        else:
+            head, tail = draw(rough_edges), draw(rough_edges)
+    return head + delimiter.join(fields) + tail
+
+
+def stream_lines(delimiter):
+    return st.lists(st.tuples(stream_line(delimiter), st.integers(1, 3)), min_size=2,
+                    max_size=15).map(lambda runs: [line for line, k in runs for _ in range(k)])
+
+
+# Whitespace delimiters and multi-character ones that edge whitespace can
+# hold in part, besides the plain ones and the empty one.
+delimiters = st.sampled_from([",", "|", ";", "\t", " ", "\x1c", ", ", " ,", "\t,", ",\n", "ab",
+                              ""])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), delimiters)
+def test_parse_matches_reference(data, delimiter):
+    lines = data.draw(stream_lines(delimiter))
+    for t, line in enumerate(lines, start=1):
+        assert _outcome(parse_sgr, line, delimiter, t) == _outcome(reference_parse_sgr, line,
+                                                                   delimiter, t), line
 
 
 @given(spaces)

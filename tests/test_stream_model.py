@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from typing import NamedTuple
 
 import pytest
@@ -68,6 +70,34 @@ def test_parse_labeled_adds_arrival_field():
     assert record.tau == 42 and arrival == 5
     with pytest.raises(SgrParseError, match="5 fields"):
         parse_labeled_sgr("3,7,1.0,42", t=1)
+
+
+def test_parse_slots_hold_across_threads():
+    # Four streams with disjoint timestamp and weight text, in bursts of
+    # three, each parsed in its own thread under a tiny switch interval: a
+    # thread preempted between reading a slot's text and its value, were
+    # they kept apart, would take another stream's value for its own text.
+    streams = [[f"i{n},j{n},{k}.5,{k}{n // 3:06d}\n" for n in range(30_000)]
+               for k in range(1, 5)]
+    expected = [[parse_sgr(line, t) for t, line in enumerate(lines, 1)] for lines in streams]
+    got = [None] * len(streams)
+
+    def parse(k):
+        got[k] = [parse_sgr(line, t) for t, line in enumerate(streams[k], 1)]
+
+    threads = [threading.Thread(target=parse, args=(k,)) for k in range(len(streams))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(streams)):
+        assert got[k] == expected[k], f"stream {k}"
 
 
 # --- ingest ------------------------------------------------------------------
