@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--repeat", type=int, default=None,
                     help="run the timing protocol with this many executions")
     ev.add_argument("--batches", type=int, default=10)
-    ev.add_argument("--input", help="stream file (timing protocol)")
+    ev.add_argument("--input", help="stream file (timing protocol), not -: runs re-read it")
     ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp",
                     help="detector that --repeat re-runs; offline --signals ignores it")
     ev.add_argument("--delimiter", type=_delimiter, default=",")
@@ -266,8 +266,8 @@ def _cmd_eval(args) -> int:
             check_runs(args.repeat, args.batches)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.repeat is not None and not args.input:
-        raise UsageError("--repeat needs --input (stream to re-run)")
+    if args.repeat is not None and args.input in (None, "", "-"):
+        raise UsageError("--repeat needs --input: a stream file every run re-reads, not -")
     if args.repeat is None and not args.signals:
         raise UsageError("offline eval needs --signals")
     truth = read_ground_truth(args.truth, args.delimiter)

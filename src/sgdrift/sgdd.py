@@ -26,7 +26,7 @@ equality, and at d = 322 ``10.0 ** -324 == 0.0``, so it never holds again
 Windows that close while the graph is still empty record 0 for O1 and O2
 (the graph only grows, so every earlier window was empty too), so both
 series hold one value per closed window and their length is the window
-index.
+index. A signal's ``t`` is the ``t`` of the record that closed its window.
 
 Only O2 needs the frequencies and the integration, and a check reads O2
 only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1 (``o1``
@@ -35,7 +35,7 @@ the bound b of ``sgdp.suffix_bound`` (1 on the parity of d that swaps the
 ratio, floor(log10(max(maximum, 100))) otherwise), so with L the last
 signalled window a check can read window W only if W + b > L + 10. A
 window with a non-empty graph appends ``None`` to ``o2``, and every
-window records its graph's size and the frequencies drawn before it, from
+window records in ``sizes`` its graph's size and the draws before it, from
 which ``rebuild_o2`` computes its O2 at any time. A check fills the
 placeholders it reads, its own window last. After the check, a readable
 window still unfilled is filled only if one of the b - 1 readable windows
@@ -94,10 +94,11 @@ class SgddState:
 
     ``o1`` holds ``None`` for a window whose O1 no check could read when it
     closed, and ``o2`` for a window whose O2 nothing has read yet.
-    ``sizes`` holds ``(V, E, G)`` per closed window: its graph's vertex and
-    edge counts and ``drawn``, the frequencies drawn before it. ``cursors``
-    holds two ``[rng, at]``: an RNG seeded with ``config.seed`` that has
-    made ``at`` Gaussian draws.
+    ``sizes`` is the per-window history: ``(V, E, G)`` per closed window,
+    its graph's vertex and edge counts and G, the frequencies drawn before
+    it (the previous window's G + V). ``cursors`` holds two ``[rng, at]``:
+    an RNG seeded with ``config.seed`` that has made ``at`` Gaussian draws.
+    No record count is kept: a signal's ``t`` is its record's.
     """
 
     config: SgddConfig = field(default_factory=SgddConfig)
@@ -107,9 +108,7 @@ class SgddState:
     o1: list[float | None] = field(default_factory=list, init=False)
     o2: list[float | None] = field(default_factory=list, init=False)
     drift_windows: list[int] = field(default_factory=lambda: [0], init=False)
-    t: int = field(default=0, init=False)
     sizes: list[tuple[int, int, int]] = field(default_factory=list, init=False)
-    drawn: int = field(default=0, init=False)
     cursors: list[list] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -181,7 +180,7 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     0, O(G) uniforms, so rebuilding newest first is quadratic in the stream.
     ``sgdd_step`` fills oldest first; it started no fresh RNG on 25 streams.
     """
-    graph, g = graph_at(state, index), state.sizes[index][2]
+    (n, _, g), graph = state.sizes[index], graph_at(state, index)
     cursor = max((c for c in state.cursors if c[1] <= g), key=itemgetter(1),
                  default=None) or [random.Random(state.config.seed), 0]
     rng, at = cursor
@@ -196,14 +195,14 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     assign_phases(graph, rng, state.config.sigma)
     delta = rk4_step(graph)
     value = state.o2[index] = order_parameter([delta[v] for v in graph.order])
-    cursor[1] = g + len(graph)
+    cursor[1] = g + n
     return value
 
 
 def graph_at(state: SgddState, index: int) -> OscillatorGraph:
-    """The graph as window ``index`` closed: the live one, or its ``prefix``."""
+    """Window ``index``'s graph: the live one if no vertex came since, else its ``prefix``."""
     (n, m, _), graph = state.sizes[index], state.graph
-    return graph if n == len(graph) and m == graph.edge_count() else graph.prefix(n, m)
+    return graph if n == len(graph) else graph.prefix(n, m)
 
 
 def _seek(rng: random.Random, at: int, g: int) -> None:
@@ -231,16 +230,16 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     The boundary timestamp is recorded before projection and therefore
     participates in the young suffix.
     """
-    state.t += 1
     starts_window = ingest(state.profile, r.tau)
     window_graph = state.window_graph
     window_graph.add(r.i, r.j, r.tau)
     if not starts_window:
         return None
-    graph, profile, o1, o2 = state.graph, state.profile, state.o1, state.o2
+    graph, profile, o1, o2, sizes = state.graph, state.profile, state.o1, state.o2, state.sizes
     young = young_timestamps(profile.seen, state.config.x,
                              window_graph.j_last_tau.values())
-    size_before = len(graph)
+    # Only project changes the graph, so its size now is the last window's V.
+    before, _, drawn = sizes[-1] if sizes else (0, 0, 0)
     project(window_graph, graph, young)
     window = len(o1) + 1
     drift_windows, variant = state.drift_windows, state.config.variant
@@ -251,13 +250,12 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
         o1.append(None)
     # Edges only arrive with new vertices and phases depend on the edges
     # alone, so an unchanged vertex count means an unchanged O1.
-    elif graph.vertices and (len(graph) != size_before or o1[-1] is None):
+    elif graph.vertices and (len(graph) != before or o1[-1] is None):
         o1.append(graph.coherence())
     else:
         o1.append(o1[-1] if o1 else 0.0)
     o2.append(None if graph.vertices else 0.0)
-    state.sizes.append((len(graph), graph.edge_count(), state.drawn))
-    state.drawn += len(graph)
+    sizes.append((len(graph), graph.edge_count(), drawn + before))
 
     def fill(series: list[float | None], first: int, stop: int) -> None:
         for k in range(first, stop):
@@ -265,7 +263,7 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
                 series[k] = (rebuild_o2(state, k) if series is o2
                              else graph_at(state, k).coherence())
 
-    signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, state.t,
+    signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, r.t,
                            drift_windows, variant, fill)
     # Filling this window (unless a signal here did) when a readable one
     # among the bound - 1 before it is unfilled leaves no check more than one

@@ -77,7 +77,7 @@ class OscillatorGraph:
         self._by_j: dict[str, set[int]] = {}
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.theta)
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -132,11 +132,10 @@ class OscillatorGraph:
         and only the phases those edges touched are reduced again. Its
         canonical order is ``order`` restricted to ids below ``n``, and its
         frequencies are zero. It is a graph to take the coherence of, to
-        draw frequencies for and to integrate, not to project into.
+        draw frequencies for and to integrate, not to project into, so it
+        holds no keys or identifiers.
         """
         past = OscillatorGraph()
-        past.keys, past.ident = self.keys[:n], self.ident[:n]
-        past.vertices = dict(zip(past.keys, range(n)))
         past.edges = self.edges[:m]
         past.nbr_sum, past.theta = self.nbr_sum[:n], self.theta[:n]
         past.sin_theta, past.cos_theta = self.sin_theta[:n], self.cos_theta[:n]

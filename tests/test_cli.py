@@ -205,6 +205,10 @@ REJECTED_FLAGS = {
                                     "-5", "--truth", "g.truth", "--input", "g.stream",
                                     "--out", "."], "report.json",
                                    "drift interval must be positive"),
+    # Rejected before the truth file, which is missing here, is opened.
+    "eval-repeat-stdin": (["eval", "--repeat", "1", "--batches", "1", "--truth", "no.truth",
+                           "--input", "-", "--out", "."], "report.json",
+                          "--repeat needs --input: a stream file every run re-reads, not -"),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "500", "--name", "g", "--out", "."], "g.stream",
                                 "n must exceed the prefix length"),

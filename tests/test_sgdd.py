@@ -533,6 +533,19 @@ def test_replay_determinism_with_seed():
     assert first, "the generated stream should produce at least one signal"
 
 
+def test_signal_t_is_the_record_t():
+    # sgdd counts no records of its own: a caller whose arrival indices do
+    # not start at 1 gets its own indices back, and the same windows.
+    records, _ = generate(GeneratorConfig(seed=3, prefix_len=500),
+                          DriftSchedule.make("gradual", 500), 3000)
+    shifted = [r._replace(t=r.t + 1000) for r in records]
+    expected = run_sgdd(records, SgddConfig(seed=3))
+    signals = run_sgdd(shifted, SgddConfig(seed=3))
+    assert len(expected) == SGDD_GOLDEN[("gradual", 3)][0]
+    assert [s.window for s in signals] == [s.window for s in expected]
+    assert [s.t for s in signals] == [s.t + 1000 for s in expected]
+
+
 def test_signal_spacing_respects_c3():
     records, _ = generate(GeneratorConfig(seed=4, prefix_len=100),
                           DriftSchedule.make("gradual", 300), 1500)
