@@ -9,7 +9,8 @@ Signals are serialized as JSON lines so downstream consumers can tail
 them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, whatever ``--mode``, found before any file is read or opened), 2
+rejects, whatever ``--mode``, or a file or name flag that the chosen
+path would not read, found before any file is read or opened), 2
 data error: any ``ValueError``, ``OSError`` or ``DeterminismError`` raised
 after the usage checks. Every default that a config class declares is read
 from that class.
@@ -97,7 +98,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="synthesize a drifting stream")
-    gen.add_argument("--pattern", choices=PATTERNS, required=True)
+    family = gen.add_mutually_exclusive_group(required=True)
+    family.add_argument("--pattern", choices=PATTERNS, help="the drift pattern of one stream")
+    family.add_argument("--batch", action="store_true",
+                        help="emit the full R/G stream family instead of one stream")
     gen.add_argument("--delta", type=int, required=True, help="drift interval in records")
     gen.add_argument("--n", type=int, required=True, help="total records")
     gen.add_argument("--seed", type=int, default=GeneratorConfig.seed)
@@ -110,8 +114,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--m", type=int, default=GeneratorConfig.m)
     gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
     gen.add_argument("--name", default=None, help="basename for stream/truth files")
-    gen.add_argument("--batch", action="store_true",
-                     help="emit the full R/G stream family instead of one stream")
 
     det = sub.add_parser("detect", help="run detectors over a stream")
     det.add_argument("--mode", choices=("sgdp", "sgdd", "both"), required=True)
@@ -121,15 +123,16 @@ def build_parser() -> _Parser:
     _add_detector_args(det)
 
     ev = sub.add_parser("eval", help="score signals against ground truth")
-    ev.add_argument("--signals", help="signal file from detect")
+    run = ev.add_mutually_exclusive_group(required=True)
+    run.add_argument("--signals", help="signal file from detect")
+    run.add_argument("--repeat", type=int,
+                     help="run the timing protocol with this many executions")
     ev.add_argument("--truth", required=True, help="ground-truth file from generate")
     ev.add_argument("--delta", type=int, default=None,
                     help="drift interval for false-positive attribution")
     ev.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    ev.add_argument("--repeat", type=int, default=None,
-                    help="run the timing protocol with this many executions")
     ev.add_argument("--batches", type=int, default=10)
-    ev.add_argument("--input", help="stream file (timing protocol), not -: runs re-read it")
+    ev.add_argument("--input", help="stream file that every --repeat run re-reads, not -")
     ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp",
                     help="detector that --repeat re-runs; offline --signals ignores it")
     ev.add_argument("--delimiter", type=_delimiter, default=",")
@@ -140,6 +143,8 @@ def build_parser() -> _Parser:
 def _cmd_generate(args) -> int:
     schedule_args = []
     if args.batch:
+        if args.name is not None:
+            raise UsageError("--batch names its twenty streams itself, so it takes no --name")
         for pattern, letter in (("recurring", "R"), ("gradual", "G")):
             for a, delta in ((1, args.delta), (2, 2 * args.delta)):
                 for b in range(1, 6):
@@ -266,10 +271,9 @@ def _cmd_eval(args) -> int:
             check_runs(args.repeat, args.batches)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.repeat is not None and args.input in (None, "", "-"):
-        raise UsageError("--repeat needs --input: a stream file every run re-reads, not -")
-    if args.repeat is None and not args.signals:
-        raise UsageError("offline eval needs --signals")
+    if (args.input is None) != (args.repeat is None) or args.input in ("", "-"):
+        raise UsageError("--repeat needs --input, and only --repeat takes it: "
+                         "a stream file every run re-reads, not -")
     truth = read_ground_truth(args.truth, args.delimiter)
     if args.repeat is not None:
         report = repeated_timing(_timing_runner(args, configs, truth), truth, runs=args.repeat,

@@ -178,7 +178,11 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     before this one copies its state there to the other cursor if that
     lags it by more than ``REPLAY_CHUNK`` draws. A fresh RNG seeks from draw
     0, O(G) uniforms, so rebuilding newest first is quadratic in the stream.
-    ``sgdd_step`` fills oldest first; it started no fresh RNG on 25 streams.
+    ``sgdd_step`` does not fill oldest first: its after-check fill
+    integrates window W while W - 1 can still be a placeholder, which the
+    next check that reads it rebuilds after W. The copy above keeps the other
+    cursor at, or at most ``REPLAY_CHUNK`` draws before, W - 1's draws, so
+    the rebuild starts no fresh RNG; it started none on 25 streams.
     """
     (n, _, g), graph = state.sizes[index], graph_at(state, index)
     cursor = max((c for c in state.cursors if c[1] <= g), key=itemgetter(1),

@@ -53,7 +53,7 @@ class BurstProfile:
 
     current: int = field(default=1, init=False)
     average: float = field(default=0.0, init=False)
-    maximum: int = field(default=0, init=False)
+    maximum: int = field(default=1, init=False)
     seen: dict[int, int] = field(default_factory=dict, init=False)
 
 
@@ -76,8 +76,6 @@ def ingest_timestamp(profile: BurstProfile, tau: int) -> bool:
     closed = len(seen)
     profile.average = (profile.average * closed + profile.current) / (closed + 1)
     profile.current = 1
-    if profile.maximum < 1:
-        profile.maximum = 1
     seen[tau] = closed
     return closed > 1
 

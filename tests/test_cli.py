@@ -63,7 +63,7 @@ def test_generate_missing_pattern_is_usage_error(capsys):
 
 
 def test_generate_batch_emits_stream_family(tmp_path):
-    code = main(["generate", "--pattern", "gradual", "--batch", "--delta", "60",
+    code = main(["generate", "--batch", "--delta", "60",
                  "--n", "400", "--seed", "1", "--prefix-len", "50",
                  "--out", str(tmp_path)])
     assert code == 0
@@ -137,9 +137,12 @@ def test_detect_rejects_removed_sprime_flag(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-# Each case rejects one flag value and names the output file it would write
-# and the message that names the value; every case runs in a directory that
-# holds g.stream, g.truth and that file, and no case may start a detector run.
+# Each case rejects one flag value or combination and names the output file
+# it would write and the message that names it; every case runs in a
+# directory that holds g.stream, g.truth, sig.jsonl and report.json, and no
+# case may start a detector run or create or change that file.
+REPEAT_INPUT = ("--repeat needs --input, and only --repeat takes it: "
+                "a stream file every run re-reads, not -")
 REJECTED_FLAGS = {
     "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
                   "--out", "sig.jsonl"], "sig.jsonl", "youth fraction x must be in (0, 1]"),
@@ -182,11 +185,22 @@ REJECTED_FLAGS = {
                           "--input", "g.stream", "--out", "."], "report.json",
                          "runs must be a positive multiple of batches"),
     "eval-offline-without-signals": (["eval", "--truth", "g.truth", "--out", "."],
-                                     "report.json", "offline eval needs --signals"),
+                                     "report.json",
+                                     "one of the arguments --signals --repeat is required"),
     # eval checks its flags before it reads --truth.
     "eval-offline-without-signals-missing-truth": (
         ["eval", "--truth", "missing.truth", "--out", "."], "report.json",
-        "offline eval needs --signals"),
+        "one of the arguments --signals --repeat is required"),
+    "eval-signals-repeat": (["eval", "--signals", "sig.jsonl", "--repeat", "1", "--batches",
+                             "1", "--truth", "g.truth", "--input", "g.stream", "--out", "."],
+                            "report.json",
+                            "argument --repeat: not allowed with argument --signals"),
+    "eval-offline-input": (["eval", "--signals", "sig.jsonl", "--truth", "no.truth",
+                            "--input", "g.stream", "--out", "."], "report.json",
+                           REPEAT_INPUT),
+    "eval-repeat-without-input": (["eval", "--repeat", "1", "--batches", "1", "--truth",
+                                   "no.truth", "--out", "."], "report.json",
+                                  REPEAT_INPUT),
     "eval-offline-x": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth", "--x", "9",
                         "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
     "detect-empty-delimiter": (["detect", "--mode", "sgdp", "--delimiter", "", "--input",
@@ -208,7 +222,7 @@ REJECTED_FLAGS = {
     # Rejected before the truth file, which is missing here, is opened.
     "eval-repeat-stdin": (["eval", "--repeat", "1", "--batches", "1", "--truth", "no.truth",
                            "--input", "-", "--out", "."], "report.json",
-                          "--repeat needs --input: a stream file every run re-reads, not -"),
+                          REPEAT_INPUT),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "500", "--name", "g", "--out", "."], "g.stream",
                                 "n must exceed the prefix length"),
@@ -218,6 +232,12 @@ REJECTED_FLAGS = {
     "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
                       "--rho", "1.5", "--name", "g", "--out", "."], "g.stream",
                      "rho must be in (0, 1)"),
+    "generate-batch-pattern": (["generate", "--batch", "--pattern", "recurring", "--delta",
+                                "100", "--n", "1500", "--out", "."], "R_11.stream",
+                               "argument --pattern: not allowed with argument --batch"),
+    "generate-batch-name": (["generate", "--batch", "--delta", "100", "--n", "1500",
+                             "--name", "g", "--out", "."], "R_11.stream",
+                            "--batch names its twenty streams itself, so it takes no --name"),
 }
 
 
@@ -231,10 +251,11 @@ def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
     (tmp_path / "g.truth").write_text("4,4\n")
     (tmp_path / "sig.jsonl").write_text("earlier signals\n")
     (tmp_path / "report.json").write_text("{}\n")
-    before = (tmp_path / output).read_bytes()
+    path = tmp_path / output
+    before = path.read_bytes() if path.exists() else None
     assert main(argv) == 1
     assert f"usage error: {message}\n" in capsys.readouterr().err
-    assert (tmp_path / output).read_bytes() == before
+    assert (path.read_bytes() if path.exists() else None) == before
 
 
 def test_full_f_schedule_flag_runs_the_library_full_schedule(tmp_path):
@@ -400,14 +421,6 @@ def test_eval_repeat_timing_protocol(tmp_path, capsys):
     assert report["runs"] == 4
     timed = [cd for cd in report["per_cd"] if cd["ms_first_mean"] is not None]
     assert timed, "at least one drift should carry timing statistics"
-
-
-def test_eval_repeat_without_input_is_usage_error(tmp_path, capsys):
-    truth = tmp_path / "t.truth"
-    truth.write_text("100,1\n")
-    code = main(["eval", "--truth", str(truth), "--repeat", "4", "--batches", "1"])
-    assert code == 1
-    assert "usage error: --repeat needs --input" in capsys.readouterr().err
 
 
 def test_eval_repeat_nondeterminism_is_data_error(tmp_path, capsys, monkeypatch):

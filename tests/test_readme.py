@@ -1,9 +1,14 @@
-"""The README's library example runs as printed against the current API."""
+"""The README's examples run or parse as printed against the current API."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from sgdrift.cli import UsageError, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +26,31 @@ def test_library_example_prints_the_distance_table():
         exec(compile(_library_block(), str(README), "exec"), {})
     header = out.getvalue().splitlines()[0].split("\t")
     assert header[:2] == ["d_1f", "d_1l"]
+
+
+def _cli_commands() -> list[list[str]]:
+    """The argv of every ``sgdrift`` command in the block right under '## CLI'.
+
+    Continuation lines are joined, and each command is cut at ``|`` or
+    ``>``, so a pipe's other side and a redirect's target are dropped.
+    """
+    match = re.search(r"^## CLI\n[^#]*?^```\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+    assert match, "README has no code block right under '## CLI'"
+    commands = []
+    for line in match.group(1).replace("\\\n", " ").splitlines():
+        for part in re.split(r"[|>]", line):
+            words = shlex.split(part, comments=True)
+            if words[:1] == ["sgdrift"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_cli_examples_parse():
+    commands = _cli_commands()
+    assert {argv[0] for argv in commands} == {"generate", "detect", "eval"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except UsageError as exc:
+            pytest.fail(f"sgdrift {shlex.join(argv)}: {exc}")

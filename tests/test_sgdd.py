@@ -382,8 +382,9 @@ def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_golden_runs_start_no_fresh_rng(monkeypatch, pattern, seed, variant):
     # rebuild_o2 seeds a fresh RNG only when both cursors have passed the
-    # window it rebuilds; sgdd_step fills oldest first, so the only RNGs a
-    # run seeds are its state's two cursors.
+    # window it rebuilds. sgdd_step can rebuild W - 1 after W, but the seek
+    # to W's draws leaves the other cursor at most REPLAY_CHUNK draws before
+    # W - 1's, so the only RNGs a run seeds are its state's two cursors.
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     seeded = []

@@ -182,6 +182,8 @@ def test_count_conservation():
 def test_profile_invariants_hold_throughout():
     rng = random.Random(11)
     profile = BurstProfile()
+    # A fresh profile holds the burst invariants too; its average is 0.
+    assert profile.maximum >= profile.current >= 1
     for _ in range(600):
         ingest_timestamp(profile, rng.randint(0, 25))
         assert profile.current >= 1
