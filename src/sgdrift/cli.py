@@ -1,4 +1,7 @@
-"""Command-line front end: generate, detect, eval.
+"""Command-line front end: generate, detect, eval, time.
+
+``eval`` scores a signal file; ``time`` runs the repeated-execution
+protocol, re-running one detector. Each accepts only the flags it reads.
 
 Every run that writes a file also writes a manifest next to it, with
 every parsed flag and the tool version, sufficient to re-run the command
@@ -9,8 +12,8 @@ Signals are serialized as JSON lines so downstream consumers can tail
 them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, whatever ``--mode``, or a file or name flag that the chosen
-path would not read, found before any file is read or opened), 2
+rejects, whatever ``--mode``, or ``generate --batch --name``, found
+before any file is read or opened), 2
 data error: any ``ValueError``, ``OSError`` or ``DeterminismError`` raised
 after the usage checks. Every default that a config class declares is read
 from that class.
@@ -52,12 +55,9 @@ def _parse_f_schedule(text: str) -> tuple[float, ...]:
     if text == "default":
         return DEFAULT_F_SCHEDULE
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(f"bad f schedule: {text!r}") from None
-    if not values:
-        raise UsageError("f schedule is empty")
-    return values
 
 
 def _delimiter(text: str) -> str:
@@ -122,21 +122,21 @@ def build_parser() -> _Parser:
     det.add_argument("--delimiter", type=_delimiter, default=",")
     _add_detector_args(det)
 
-    ev = sub.add_parser("eval", help="score signals against ground truth")
-    run = ev.add_mutually_exclusive_group(required=True)
-    run.add_argument("--signals", help="signal file from detect")
-    run.add_argument("--repeat", type=int,
-                     help="run the timing protocol with this many executions")
-    ev.add_argument("--truth", required=True, help="ground-truth file from generate")
-    ev.add_argument("--delta", type=int, default=None,
-                    help="drift interval for false-positive attribution")
-    ev.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    ev.add_argument("--batches", type=int, default=10)
-    ev.add_argument("--input", help="stream file that every --repeat run re-reads, not -")
-    ev.add_argument("--mode", choices=("sgdp", "sgdd"), default="sgdp",
-                    help="detector that --repeat re-runs; offline --signals ignores it")
-    ev.add_argument("--delimiter", type=_delimiter, default=",")
-    _add_detector_args(ev)
+    ev = sub.add_parser("eval", help="score a signal file against ground truth")
+    ev.add_argument("--signals", required=True, help="signal file from detect")
+
+    tm = sub.add_parser("time", help="run the repeated-execution timing protocol")
+    tm.add_argument("--mode", choices=("sgdp", "sgdd"), required=True)
+    tm.add_argument("--input", required=True, help="stream file that every run re-reads, not -")
+    tm.add_argument("--repeat", type=int, required=True, help="number of executions")
+    tm.add_argument("--batches", type=int, default=10)
+    for scorer in (ev, tm):
+        scorer.add_argument("--truth", required=True, help="ground-truth file from generate")
+        scorer.add_argument("--delta", type=int, default=None,
+                            help="drift interval for false-positive attribution")
+        scorer.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        scorer.add_argument("--delimiter", type=_delimiter, default=",")
+    _add_detector_args(tm)
     return parser
 
 
@@ -187,7 +187,7 @@ def _detect_stream(lines, args, configs, on_record=None):
     """Parse ``lines``, feed every record to fresh detectors and yield their signals.
 
     ``args.mode`` picks the detectors, built from ``configs`` (the pair of
-    ``_detector_configs``); both ``detect`` and ``eval --repeat`` run
+    ``_detector_configs``); both ``detect`` and every ``time`` run go
     through here. ``on_record`` (if given) sees each record after the
     detectors have consumed it and their signals have been yielded.
     """
@@ -263,23 +263,8 @@ def _timing_runner(args, configs, truth):
     return run
 
 
-def _cmd_eval(args) -> int:
-    configs = _detector_configs(args)
-    try:
-        check_drift_interval(args.delta)
-        if args.repeat is not None:
-            check_runs(args.repeat, args.batches)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if (args.input is None) != (args.repeat is None) or args.input in ("", "-"):
-        raise UsageError("--repeat needs --input, and only --repeat takes it: "
-                         "a stream file every run re-reads, not -")
-    truth = read_ground_truth(args.truth, args.delimiter)
-    if args.repeat is not None:
-        report = repeated_timing(_timing_runner(args, configs, truth), truth, runs=args.repeat,
-                                 batches=args.batches, drift_interval=args.delta)
-    else:
-        report = distances(_read_signals(args.signals), truth, args.delta)
+def _write_report(args, report) -> None:
+    """Write ``report`` to ``--out`` (JSON, table, manifest) and the table to stdout."""
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
@@ -288,11 +273,37 @@ def _cmd_eval(args) -> int:
     (out_dir / "report.tsv").write_text(table, encoding="utf-8")
     print(table, end="")
     _write_manifest(out_dir, args)
+
+
+def _cmd_eval(args) -> int:
+    try:
+        check_drift_interval(args.delta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    truth = read_ground_truth(args.truth, args.delimiter)
+    _write_report(args, distances(_read_signals(args.signals), truth, args.delta))
+    return 0
+
+
+def _cmd_time(args) -> int:
+    configs = _detector_configs(args)
+    try:
+        check_drift_interval(args.delta)
+        check_runs(args.repeat, args.batches)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.input in ("", "-"):
+        raise UsageError("--input must name a stream file that every run re-reads, not -")
+    truth = read_ground_truth(args.truth, args.delimiter)
+    _write_report(args, repeated_timing(_timing_runner(args, configs, truth), truth,
+                                        runs=args.repeat, batches=args.batches,
+                                        drift_interval=args.delta))
     return 0
 
 
 def main(argv=None) -> int:
-    commands = {"generate": _cmd_generate, "detect": _cmd_detect, "eval": _cmd_eval}
+    commands = {"generate": _cmd_generate, "detect": _cmd_detect, "eval": _cmd_eval,
+                "time": _cmd_time}
     try:
         args = build_parser().parse_args(argv)
         return commands[args.command](args)

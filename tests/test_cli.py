@@ -141,8 +141,7 @@ def test_detect_rejects_removed_sprime_flag(capsys):
 # it would write and the message that names it; every case runs in a
 # directory that holds g.stream, g.truth, sig.jsonl and report.json, and no
 # case may start a detector run or create or change that file.
-REPEAT_INPUT = ("--repeat needs --input, and only --repeat takes it: "
-                "a stream file every run re-reads, not -")
+TIME_INPUT = "--input must name a stream file that every run re-reads, not -"
 REJECTED_FLAGS = {
     "detect-x": (["detect", "--mode", "sgdd", "--x", "1.5", "--input", "g.stream",
                   "--out", "sig.jsonl"], "sig.jsonl", "youth fraction x must be in (0, 1]"),
@@ -163,7 +162,14 @@ REJECTED_FLAGS = {
                               "bad f schedule: '0.3,x'"),
     "detect-f-schedule-empty": (["detect", "--mode", "sgdp", "--f-schedule", ",",
                                  "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
-                                "f schedule is empty"),
+                                "bad f schedule: ','"),
+    # An empty field is an error, not a field to drop.
+    "detect-f-schedule-empty-field": (["detect", "--mode", "sgdp", "--f-schedule", "0.3,,0.5",
+                                       "--input", "g.stream", "--out", "sig.jsonl"],
+                                      "sig.jsonl", "bad f schedule: '0.3,,0.5'"),
+    "detect-f-schedule-trailing-comma": (["detect", "--mode", "sgdp", "--f-schedule", "0.3,",
+                                          "--input", "g.stream", "--out", "sig.jsonl"],
+                                         "sig.jsonl", "bad f schedule: '0.3,'"),
     # Every knob is checked whatever --mode, so a value only the other
     # detector reads is rejected too.
     "detect-sgdp-x": (["detect", "--mode", "sgdp", "--x", "1.5", "--input", "g.stream",
@@ -175,34 +181,48 @@ REJECTED_FLAGS = {
     "detect-sigma-negative": (["detect", "--mode", "sgdd", "--sigma", "-1", "--input",
                                "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
                               "frequency spread sigma must be finite and non-negative"),
-    "eval-repeat-x": (["eval", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",
-                       "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
-                       "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
-    "eval-repeat-not-multiple": (["eval", "--repeat", "5", "--batches", "2", "--truth",
-                                  "g.truth", "--input", "g.stream", "--out", "."],
-                                 "report.json", "runs must be a positive multiple of batches"),
-    "eval-repeat-zero": (["eval", "--repeat", "0", "--batches", "1", "--truth", "g.truth",
-                          "--input", "g.stream", "--out", "."], "report.json",
-                         "runs must be a positive multiple of batches"),
-    "eval-offline-without-signals": (["eval", "--truth", "g.truth", "--out", "."],
-                                     "report.json",
-                                     "one of the arguments --signals --repeat is required"),
-    # eval checks its flags before it reads --truth.
-    "eval-offline-without-signals-missing-truth": (
+    "time-x": (["time", "--mode", "sgdd", "--x", "1.5", "--repeat", "1",
+                "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
+                "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
+    "time-not-multiple": (["time", "--mode", "sgdp", "--repeat", "5", "--batches", "2",
+                           "--truth", "g.truth", "--input", "g.stream", "--out", "."],
+                          "report.json", "runs must be a positive multiple of batches"),
+    "time-repeat-zero": (["time", "--mode", "sgdp", "--repeat", "0", "--batches", "1",
+                          "--truth", "g.truth", "--input", "g.stream", "--out", "."],
+                         "report.json", "runs must be a positive multiple of batches"),
+    # Each subcommand accepts only the flags its run reads, and requires the
+    # files and the detector that it does read, before it reads --truth.
+    "eval-without-signals": (["eval", "--truth", "g.truth", "--out", "."], "report.json",
+                             "the following arguments are required: --signals"),
+    "eval-without-signals-missing-truth": (
         ["eval", "--truth", "missing.truth", "--out", "."], "report.json",
-        "one of the arguments --signals --repeat is required"),
-    "eval-signals-repeat": (["eval", "--signals", "sig.jsonl", "--repeat", "1", "--batches",
-                             "1", "--truth", "g.truth", "--input", "g.stream", "--out", "."],
-                            "report.json",
-                            "argument --repeat: not allowed with argument --signals"),
-    "eval-offline-input": (["eval", "--signals", "sig.jsonl", "--truth", "no.truth",
-                            "--input", "g.stream", "--out", "."], "report.json",
-                           REPEAT_INPUT),
-    "eval-repeat-without-input": (["eval", "--repeat", "1", "--batches", "1", "--truth",
-                                   "no.truth", "--out", "."], "report.json",
-                                  REPEAT_INPUT),
-    "eval-offline-x": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth", "--x", "9",
-                        "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
+        "the following arguments are required: --signals"),
+    "eval-repeat": (["eval", "--signals", "sig.jsonl", "--repeat", "1", "--batches", "1",
+                     "--truth", "g.truth", "--input", "g.stream", "--out", "."],
+                    "report.json",
+                    "unrecognized arguments: --repeat 1 --batches 1 --input g.stream"),
+    "eval-input": (["eval", "--signals", "sig.jsonl", "--truth", "no.truth",
+                    "--input", "g.stream", "--out", "."], "report.json",
+                   "unrecognized arguments: --input g.stream"),
+    "eval-x": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth", "--x", "9",
+                "--out", "."], "report.json", "unrecognized arguments: --x 9"),
+    "eval-mode": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth", "--mode", "sgdd",
+                   "--out", "."], "report.json", "unrecognized arguments: --mode sgdd"),
+    "eval-batches": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth", "--batches",
+                      "3", "--out", "."], "report.json", "unrecognized arguments: --batches 3"),
+    "time-without-mode": (["time", "--repeat", "1", "--batches", "1", "--truth", "no.truth",
+                           "--input", "g.stream", "--out", "."], "report.json",
+                          "the following arguments are required: --mode"),
+    "time-without-input": (["time", "--mode", "sgdp", "--repeat", "1", "--batches", "1",
+                            "--truth", "no.truth", "--out", "."], "report.json",
+                           "the following arguments are required: --input"),
+    "time-without-repeat": (["time", "--mode", "sgdp", "--batches", "1", "--truth",
+                             "no.truth", "--input", "g.stream", "--out", "."], "report.json",
+                            "the following arguments are required: --repeat"),
+    "time-signals": (["time", "--mode", "sgdp", "--signals", "sig.jsonl", "--repeat", "1",
+                      "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
+                      "--out", "."], "report.json",
+                     "unrecognized arguments: --signals sig.jsonl"),
     "detect-empty-delimiter": (["detect", "--mode", "sgdp", "--delimiter", "", "--input",
                                 "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
                                "argument --delimiter: delimiter must not be empty"),
@@ -215,14 +235,15 @@ REJECTED_FLAGS = {
     "eval-delta-negative": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
                              "--delta", "-5", "--out", "."], "report.json",
                             "drift interval must be positive"),
-    "eval-repeat-delta-negative": (["eval", "--repeat", "1", "--batches", "1", "--delta",
-                                    "-5", "--truth", "g.truth", "--input", "g.stream",
-                                    "--out", "."], "report.json",
-                                   "drift interval must be positive"),
+    "time-delta-negative": (["time", "--mode", "sgdp", "--repeat", "1", "--batches", "1",
+                             "--delta", "-5", "--truth", "g.truth", "--input", "g.stream",
+                             "--out", "."], "report.json", "drift interval must be positive"),
     # Rejected before the truth file, which is missing here, is opened.
-    "eval-repeat-stdin": (["eval", "--repeat", "1", "--batches", "1", "--truth", "no.truth",
-                           "--input", "-", "--out", "."], "report.json",
-                          REPEAT_INPUT),
+    "time-stdin": (["time", "--mode", "sgdp", "--repeat", "1", "--batches", "1", "--truth",
+                    "no.truth", "--input", "-", "--out", "."], "report.json", TIME_INPUT),
+    "time-empty-input": (["time", "--mode", "sgdp", "--repeat", "1", "--batches", "1",
+                          "--truth", "no.truth", "--input", "", "--out", "."], "report.json",
+                         TIME_INPUT),
     "generate-n-below-prefix": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "500", "--name", "g", "--out", "."], "g.stream",
                                 "n must exceed the prefix length"),
@@ -392,6 +413,9 @@ def test_eval_offline_fixture(tmp_path, capsys):
     assert report["per_cd"][0]["d_last"] == 5
     assert (tmp_path / "report.tsv").exists()
     assert "d_1f" in capsys.readouterr().out
+    # The manifest records only the flags that scoring reads.
+    manifest = json.loads((tmp_path / "manifest_eval.json").read_text())
+    assert set(manifest["args"]) == {"command", "signals", "truth", "delta", "out", "delimiter"}
 
 
 def test_eval_empty_truth_scores_every_signal_as_a_false_positive(tmp_path, capsys):
@@ -411,9 +435,9 @@ def test_eval_empty_truth_scores_every_signal_as_a_false_positive(tmp_path, caps
         assert capsys.readouterr().out.splitlines()[-1].split("\t") == ["", "", "2", "0"]
 
 
-def test_eval_repeat_timing_protocol(tmp_path, capsys):
+def test_time_runs_the_timing_protocol(tmp_path, capsys):
     stream, truth_file = generate_small(tmp_path, n=900, delta=250, prefix=100)
-    code = main(["eval", "--truth", str(truth_file), "--input", str(stream),
+    code = main(["time", "--truth", str(truth_file), "--input", str(stream),
                  "--mode", "sgdp", "--repeat", "4", "--batches", "2",
                  "--delta", "250", "--out", str(tmp_path / "rep")])
     assert code == 0
@@ -421,16 +445,18 @@ def test_eval_repeat_timing_protocol(tmp_path, capsys):
     assert report["runs"] == 4
     timed = [cd for cd in report["per_cd"] if cd["ms_first_mean"] is not None]
     assert timed, "at least one drift should carry timing statistics"
+    manifest = json.loads((tmp_path / "rep" / "manifest_time.json").read_text())
+    assert (manifest["subcommand"], manifest["args"]["repeat"]) == ("time", 4)
 
 
-def test_eval_repeat_nondeterminism_is_data_error(tmp_path, capsys, monkeypatch):
+def test_time_nondeterminism_is_data_error(tmp_path, capsys, monkeypatch):
     def changed(*args, **kwargs):
         raise DeterminismError("record-count distances changed between repeated runs")
 
     monkeypatch.setattr(cli, "repeated_timing", changed)
     stream, truth = generate_small(tmp_path, n=900, delta=250, prefix=100)
-    assert main(["eval", "--truth", str(truth), "--input", str(stream), "--repeat", "1",
-                 "--batches", "1", "--out", str(tmp_path / "rep")]) == 2
+    assert main(["time", "--mode", "sgdp", "--truth", str(truth), "--input", str(stream),
+                 "--repeat", "1", "--batches", "1", "--out", str(tmp_path / "rep")]) == 2
     assert ("data error: record-count distances changed between repeated runs\n"
             in capsys.readouterr().err)
     assert not (tmp_path / "rep").exists()
@@ -448,30 +474,32 @@ def test_eval_malformed_truth_line_is_data_error_naming_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("truth_text", ["2,2\n2,2\n", "3,3\n\n2,2\n"],
                          ids=["repeated", "decreasing"])
-@pytest.mark.parametrize("run", [["--signals", "signals.jsonl"],
-                                 ["--input", "s.stream", "--repeat", "1", "--batches", "1"]],
-                         ids=["offline", "repeat"])
+@pytest.mark.parametrize("run", [["eval", "--signals", "signals.jsonl"],
+                                 ["time", "--mode", "sgdp", "--input", "s.stream", "--repeat",
+                                  "1", "--batches", "1"]],
+                         ids=["eval", "time"])
 def test_eval_non_increasing_truth_index_is_data_error_naming_it(tmp_path, capsys, monkeypatch,
                                                                  truth_text, run):
     monkeypatch.chdir(tmp_path)
     Path("signals.jsonl").write_text("")
     Path("s.stream").write_text("".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 5)))
     Path("t.truth").write_text(truth_text)
-    assert main(["eval", "--truth", "t.truth", "--out", "rep", *run]) == 2
+    assert main([*run, "--truth", "t.truth", "--out", "rep"]) == 2
     line = truth_text.count("\n")
     assert f"data error: truth line {line}: index 2 does not increase" in capsys.readouterr().err
     assert not Path("rep").exists()
 
 
-@pytest.mark.parametrize("run", [["--signals", "signals.jsonl"],
-                                 ["--input", "s.stream", "--repeat", "1", "--batches", "1"]],
-                         ids=["offline", "repeat"])
+@pytest.mark.parametrize("run", [["eval", "--signals", "signals.jsonl"],
+                                 ["time", "--mode", "sgdp", "--input", "s.stream", "--repeat",
+                                  "1", "--batches", "1"]],
+                         ids=["eval", "time"])
 def test_eval_truth_index_below_one_is_data_error_naming_it(tmp_path, capsys, monkeypatch, run):
     monkeypatch.chdir(tmp_path)
     Path("signals.jsonl").write_text(DriftSignal("sgdp", 4, 1, 1.0).to_json() + "\n")
     Path("s.stream").write_text("".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 9)))
     Path("t.truth").write_text("-3,2\n0,5\n")
-    assert main(["eval", "--truth", "t.truth", "--out", "rep", *run]) == 2
+    assert main([*run, "--truth", "t.truth", "--out", "rep"]) == 2
     assert "data error: truth line 1: index -3 is below 1" in capsys.readouterr().err
     assert not Path("rep").exists()
 
@@ -485,7 +513,7 @@ def _report_signals(report):
 
 @pytest.mark.parametrize("mode,knob", [("sgdd", ["--x", "0.5"]),
                                        ("sgdp", ["--f-schedule", "0.8"])])
-def test_eval_repeat_honours_detector_knobs(tmp_path, capsys, mode, knob):
+def test_time_honours_detector_knobs(tmp_path, capsys, mode, knob):
     stream, truth_file = generate_small(tmp_path, n=900, delta=250, prefix=100)
     reports = {}
     for name, extra in (("default", []), ("knob", knob)):
@@ -496,30 +524,30 @@ def test_eval_repeat_honours_detector_knobs(tmp_path, capsys, mode, knob):
                      "--out", str(tmp_path / name)]) == 0
         reports[name] = json.loads((tmp_path / name / "report.json").read_text())
     assert _report_signals(reports["knob"]) != _report_signals(reports["default"])
-    assert main(["eval", "--truth", str(truth_file), "--input", str(stream),
+    assert main(["time", "--truth", str(truth_file), "--input", str(stream),
                  "--mode", mode, "--repeat", "1", "--batches", "1",
                  "--out", str(tmp_path / "rep"), *knob]) == 0
     repeated = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert _report_signals(repeated) == _report_signals(reports["knob"])
 
 
-def test_eval_repeat_malformed_line_reports_line_number(tmp_path, capsys):
+def test_time_malformed_line_reports_line_number(tmp_path, capsys):
     stream = tmp_path / "bad.stream"
     stream.write_text("u1,v1,1.0,1\nnot a record\n")
     truth = tmp_path / "t.truth"
     truth.write_text("1,1\n")
-    code = main(["eval", "--truth", str(truth), "--input", str(stream),
+    code = main(["time", "--mode", "sgdp", "--truth", str(truth), "--input", str(stream),
                  "--repeat", "1", "--batches", "1", "--out", str(tmp_path / "rep")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
 
 
-def test_eval_repeat_drift_past_stream_end_is_data_error(tmp_path, capsys):
+def test_time_drift_past_stream_end_is_data_error(tmp_path, capsys):
     stream, truth_file = generate_small(tmp_path, n=900, delta=250, prefix=100)
     last = read_ground_truth(truth_file).cd_indices[-1]
     cut = tmp_path / "cut.stream"
     cut.write_text("".join(stream.read_text().splitlines(keepends=True)[:last - 100]))
-    code = main(["eval", "--truth", str(truth_file), "--input", str(cut),
+    code = main(["time", "--mode", "sgdp", "--truth", str(truth_file), "--input", str(cut),
                  "--repeat", "1", "--batches", "1", "--out", str(tmp_path / "rep")])
     assert code == 2
     assert f"data error: truth drift index {last} is no record of" in capsys.readouterr().err

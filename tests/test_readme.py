@@ -1,5 +1,6 @@
 """The README's examples run or parse as printed against the current API."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -48,7 +49,9 @@ def _cli_commands() -> list[list[str]]:
 
 def test_cli_examples_parse():
     commands = _cli_commands()
-    assert {argv[0] for argv in commands} == {"generate", "detect", "eval"}
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subcommands)
     for argv in commands:
         try:
             build_parser().parse_args(argv)
