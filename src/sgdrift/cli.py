@@ -60,12 +60,6 @@ def _parse_f_schedule(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad f schedule: {text!r}") from None
 
 
-def _delimiter(text: str) -> str:
-    if not text:
-        raise argparse.ArgumentTypeError("delimiter must not be empty")
-    return text
-
-
 def _write_manifest(directory: Path, args, **extra) -> None:
     manifest = {
         "tool": "sgdrift",
@@ -119,7 +113,6 @@ def build_parser() -> _Parser:
     det.add_argument("--mode", choices=("sgdp", "sgdd", "both"), required=True)
     det.add_argument("--input", required=True, help="stream file, or - for stdin")
     det.add_argument("--out", default="-", help="signal file (JSON lines), or - for stdout")
-    det.add_argument("--delimiter", type=_delimiter, default=",")
     _add_detector_args(det)
 
     ev = sub.add_parser("eval", help="score a signal file against ground truth")
@@ -135,7 +128,6 @@ def build_parser() -> _Parser:
         scorer.add_argument("--delta", type=int, default=None,
                             help="drift interval for false-positive attribution")
         scorer.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        scorer.add_argument("--delimiter", type=_delimiter, default=",")
     _add_detector_args(tm)
     return parser
 
@@ -194,12 +186,11 @@ def _detect_stream(lines, args, configs, on_record=None):
     sgdp_config, sgdd_config = configs
     sgdp_state = SgdpState(config=sgdp_config) if args.mode != "sgdd" else None
     sgdd_state = SgddState(config=sgdd_config) if args.mode != "sgdp" else None
-    delimiter = args.delimiter
     skip_errors = args.on_error == "skip"
     t = 0
     for lineno, line in enumerate(lines, start=1):
         try:
-            record = parse_sgr(line, t + 1, delimiter)
+            record = parse_sgr(line, t + 1)
         except SgrParseError as exc:
             if skip_errors:
                 continue
@@ -280,7 +271,7 @@ def _cmd_eval(args) -> int:
         check_drift_interval(args.delta)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    truth = read_ground_truth(args.truth, args.delimiter)
+    truth = read_ground_truth(args.truth)
     _write_report(args, distances(_read_signals(args.signals), truth, args.delta))
     return 0
 
@@ -289,12 +280,16 @@ def _cmd_time(args) -> int:
     configs = _detector_configs(args)
     try:
         check_drift_interval(args.delta)
-        check_runs(args.repeat, args.batches)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:
+        check_runs(args.repeat, args.batches)
+    except ValueError:
+        raise UsageError(f"--repeat {args.repeat} must be a positive multiple of "
+                         f"--batches {args.batches}") from None
     if args.input in ("", "-"):
         raise UsageError("--input must name a stream file that every run re-reads, not -")
-    truth = read_ground_truth(args.truth, args.delimiter)
+    truth = read_ground_truth(args.truth)
     _write_report(args, repeated_timing(_timing_runner(args, configs, truth), truth,
                                         runs=args.repeat, batches=args.batches,
                                         drift_interval=args.delta))

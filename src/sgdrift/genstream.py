@@ -283,14 +283,11 @@ def generate_to_files(config: GeneratorConfig, schedule: DriftSchedule, n: int,
     return truth
 
 
-def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
-    """Read a truth file; a bad line is a ``ValueError`` naming its number.
+def read_ground_truth(path) -> GroundTruth:
+    """Read a comma-separated truth file; a bad line is a ``ValueError`` naming its number.
 
-    So is an index below 1 or one not above the previous line's. An empty
-    ``delimiter`` is a ``ValueError`` raised before the file opens.
+    So is an index below 1 or one not above the previous line's.
     """
-    if not delimiter:
-        raise ValueError("delimiter must not be empty")
     indices: list[int] = []
     timestamps: list[int] = []
     with open(path, encoding="utf-8") as handle:
@@ -299,9 +296,9 @@ def read_ground_truth(path, delimiter: str = ",") -> GroundTruth:
             if not line:
                 continue
             try:
-                index, tau = map(int, line.split(delimiter))
+                index, tau = map(int, line.split(","))
             except ValueError:
-                raise ValueError(f"truth line {lineno}: expected index{delimiter}tau "
+                raise ValueError(f"truth line {lineno}: expected index,tau "
                                  f"(two integers), got {line!r}") from None
             if index < 1:
                 raise ValueError(f"truth line {lineno}: index {index} is below 1 "

@@ -91,12 +91,13 @@ _tau_slot = ("0", 0)
 _omega_slot = ("1.0", 1.0)
 
 
-def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
-    """Parse one delimited stream line into a record with arrival index ``t``.
+def parse_sgr(line: str, t: int) -> SGR | None:
+    """Parse one comma-separated stream line into a record with arrival index ``t``.
 
-    Returns None for blank lines (skip signal). Raises :class:`SgrParseError`
-    naming the offending field otherwise. Surrounding whitespace is
-    dropped from the line and from every field.
+    Returns None for blank lines (skip signal). Every other malformed line
+    raises :class:`SgrParseError` naming the offending field, so a caller
+    that skips those errors skips every malformed line. Surrounding
+    whitespace is dropped from the line and from every field.
 
     The raw line is split once. A record of four fields with non-empty ids
     converts its timestamp and weight only when their text differs from
@@ -109,10 +110,10 @@ def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
     stripped before it is split.
     """
     global _tau_slot, _omega_slot
-    # A ValueError here is a wrong field count, an empty delimiter or a
-    # failed conversion, whose outcome the strip-first path below gives.
+    # A ValueError here is a wrong field count or a failed conversion, whose
+    # outcome the strip-first path below gives.
     try:
-        i, j, omega_s, tau_s = line.split(delimiter)
+        i, j, omega_s, tau_s = line.split(",")
         i = i.strip()
         j = j.strip()
         if i and j:
@@ -127,14 +128,13 @@ def parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
             return _new_tuple(SGR, (i, j, omega, tau, t))
     except ValueError:
         pass
-    # Edge whitespace that holds the delimiter makes the raw split's first
-    # or last field blank, or adds one, and sends the line here. float()
-    # and int() accept only whitespace that str.strip() drops, so a line
-    # whose edges hold no delimiter gets the record the raw split gives.
+    # Blank lines, wrong field counts, empty ids and failed conversions come
+    # here, and so does \x1c-\x1f padding, which str.strip() drops and
+    # float() and int() reject.
     stripped = line.strip()
     if not stripped:
         return None
-    parts = stripped.split(delimiter)
+    parts = stripped.split(",")
     if len(parts) != 4:
         raise SgrParseError(f"expected 4 fields, got {len(parts)}")
     i, j, omega_s, tau_s = (part.strip() for part in parts)

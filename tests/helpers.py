@@ -260,15 +260,15 @@ def segment_bursts(records) -> list[Burst]:
     return list(bursts.values())
 
 
-def parse_labeled_sgr(line: str, t: int, delimiter: str = ",") -> tuple[SGR, int] | None:
+def parse_labeled_sgr(line: str, t: int) -> tuple[SGR, int] | None:
     """Parse the offline oracle format, which appends an arrival-time field."""
     stripped = line.strip()
     if not stripped:
         return None
-    parts = stripped.split(delimiter)
+    parts = stripped.split(",")
     if len(parts) != 5:
         raise SgrParseError(f"expected 5 fields, got {len(parts)}")
-    record = parse_sgr(delimiter.join(parts[:4]), t, delimiter)
+    record = parse_sgr(",".join(parts[:4]), t)
     assert record is not None
     try:
         arrival = int(parts[4].strip())
@@ -325,12 +325,12 @@ def reference_young(ordered_unique: list[int], x: float) -> set[int]:
     return set(ordered_unique[-k:])
 
 
-def reference_parse_sgr(line: str, t: int, delimiter: str = ",") -> SGR | None:
+def reference_parse_sgr(line: str, t: int) -> SGR | None:
     """Parse a stream line by stripping the line and then every field."""
     stripped = line.strip()
     if not stripped:
         return None
-    parts = stripped.split(delimiter)
+    parts = stripped.split(",")
     if len(parts) != 4:
         raise SgrParseError(f"expected 4 fields, got {len(parts)}")
     i, j, omega_s, tau_s = (p.strip() for p in parts)

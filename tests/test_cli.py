@@ -186,10 +186,17 @@ REJECTED_FLAGS = {
                 "--out", "."], "report.json", "youth fraction x must be in (0, 1]"),
     "time-not-multiple": (["time", "--mode", "sgdp", "--repeat", "5", "--batches", "2",
                            "--truth", "g.truth", "--input", "g.stream", "--out", "."],
-                          "report.json", "runs must be a positive multiple of batches"),
+                          "report.json",
+                          "--repeat 5 must be a positive multiple of --batches 2"),
     "time-repeat-zero": (["time", "--mode", "sgdp", "--repeat", "0", "--batches", "1",
                           "--truth", "g.truth", "--input", "g.stream", "--out", "."],
-                         "report.json", "runs must be a positive multiple of batches"),
+                         "report.json",
+                         "--repeat 0 must be a positive multiple of --batches 1"),
+    # The message names the default --batches that the user never set.
+    "time-repeat-below-default-batches": (
+        ["time", "--mode", "sgdp", "--repeat", "3", "--truth", "g.truth", "--input",
+         "g.stream", "--out", "."], "report.json",
+        "--repeat 3 must be a positive multiple of --batches 10"),
     # Each subcommand accepts only the flags its run reads, and requires the
     # files and the detector that it does read, before it reads --truth.
     "eval-without-signals": (["eval", "--truth", "g.truth", "--out", "."], "report.json",
@@ -223,12 +230,16 @@ REJECTED_FLAGS = {
                       "--batches", "1", "--truth", "g.truth", "--input", "g.stream",
                       "--out", "."], "report.json",
                      "unrecognized arguments: --signals sig.jsonl"),
-    "detect-empty-delimiter": (["detect", "--mode", "sgdp", "--delimiter", "", "--input",
-                                "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
-                               "argument --delimiter: delimiter must not be empty"),
-    "eval-empty-delimiter": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
-                              "--delimiter", "", "--out", "."], "report.json",
-                             "argument --delimiter: delimiter must not be empty"),
+    # Stream and truth files are comma-separated; no subcommand takes a delimiter.
+    "detect-delimiter": (["detect", "--mode", "sgdp", "--delimiter", ",", "--input",
+                          "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
+                         "unrecognized arguments: --delimiter ,"),
+    "eval-delimiter": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
+                        "--delimiter", ",", "--out", "."], "report.json",
+                       "unrecognized arguments: --delimiter ,"),
+    "time-delimiter": (["time", "--mode", "sgdp", "--repeat", "1", "--batches", "1",
+                        "--delimiter", ",", "--truth", "g.truth", "--input", "g.stream",
+                        "--out", "."], "report.json", "unrecognized arguments: --delimiter ,"),
     "eval-delta-zero": (["eval", "--signals", "sig.jsonl", "--truth", "g.truth",
                          "--delta", "0", "--out", "."], "report.json",
                         "drift interval must be positive"),
@@ -415,7 +426,7 @@ def test_eval_offline_fixture(tmp_path, capsys):
     assert "d_1f" in capsys.readouterr().out
     # The manifest records only the flags that scoring reads.
     manifest = json.loads((tmp_path / "manifest_eval.json").read_text())
-    assert set(manifest["args"]) == {"command", "signals", "truth", "delta", "out", "delimiter"}
+    assert set(manifest["args"]) == {"command", "signals", "truth", "delta", "out"}
 
 
 def test_eval_empty_truth_scores_every_signal_as_a_false_positive(tmp_path, capsys):

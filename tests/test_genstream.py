@@ -10,7 +10,7 @@ from sgdrift.butterfly import BipartiteWindow, enumerate_young
 from sgdrift.genstream import (BASE_PARAMS, DriftSchedule, GeneratorConfig,
                                format_burst, generate, generate_to_files,
                                read_ground_truth)
-from sgdrift.stream_model import SgrParseError, parse_sgr
+from sgdrift.stream_model import parse_sgr
 
 
 # --- schedules -------------------------------------------------------------------
@@ -205,15 +205,3 @@ def test_truth_index_below_one_names_its_line(tmp_path, bad):
     with pytest.raises(ValueError, match=rf"^truth line 2: index {index} is below 1 "):
         read_ground_truth(path)
 
-
-def test_empty_delimiter_is_a_plain_value_error(tmp_path):
-    # The truth reader rejects it before it opens the file, so a missing
-    # path still reports the delimiter.
-    with pytest.raises(ValueError, match=r"^delimiter must not be empty$"):
-        read_ground_truth(tmp_path / "missing.truth", "")
-    # The record parser checks no delimiter per record; str.split's own
-    # error is a ValueError but no SgrParseError, so --on-error skip, which
-    # skips only SgrParseError, can never swallow it.
-    with pytest.raises(ValueError) as info:
-        parse_sgr("a,b,1.0,1", 1, "")
-    assert not isinstance(info.value, SgrParseError)

@@ -57,3 +57,15 @@ def test_cli_examples_parse():
             build_parser().parse_args(argv)
         except UsageError as exc:
             pytest.fail(f"sgdrift {shlex.join(argv)}: {exc}")
+
+
+def test_knob_table_lists_every_detect_knob():
+    match = re.search(r"^### Detector knobs\n(.*?)^#", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+    assert match, "README has no '### Detector knobs' section"
+    listed = set(re.findall(r"^\| `(--[a-z-]+)` \|", match.group(1), re.M))
+    detect = next(action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))["detect"]
+    knobs = {flag for action in detect._actions for flag in action.option_strings
+             if flag.startswith("--")} - {"--help", "--mode", "--input", "--out"}
+    assert listed == knobs

@@ -60,11 +60,6 @@ def test_parse_blank_line_is_skip_signal():
     assert parse_sgr("\n", t=1) is None
 
 
-def test_parse_custom_delimiter():
-    r = parse_sgr("3|7|1.0|42", t=1, delimiter="|")
-    assert (r.i, r.j) == ("3", "7")
-
-
 def test_parse_labeled_adds_arrival_field():
     record, arrival = parse_labeled_sgr("3,7,1.0,42,5", t=1)
     assert record.tau == 42 and arrival == 5
