@@ -12,8 +12,8 @@ Signals are serialized as JSON lines so downstream consumers can tail
 them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, whatever ``--mode``, or ``generate --batch --name``, found
-before any file is read or opened), 2
+rejects, whatever ``--mode``, or ``generate --batch --name`` or an empty
+``--name``, found before any file is read or opened), 2
 data error: any ``ValueError``, ``OSError`` or ``DeterminismError`` raised
 after the usage checks. Every default that a config class declares is read
 from that class.
@@ -100,11 +100,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True, help="total records")
     gen.add_argument("--seed", type=int, default=GeneratorConfig.seed)
     gen.add_argument("--prefix-len", type=int, default=GeneratorConfig.prefix_len)
-    gen.add_argument("--rho", type=float, default=GeneratorConfig.rho,
-                     help="regime-0 connection probability")
-    gen.add_argument("--lmin", type=int, default=GeneratorConfig.l_min)
-    gen.add_argument("--lmax", type=int, default=GeneratorConfig.l_max)
-    gen.add_argument("--beta", type=int, default=GeneratorConfig.beta)
     gen.add_argument("--m", type=int, default=GeneratorConfig.m)
     gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
     gen.add_argument("--name", default=None, help="basename for stream/truth files")
@@ -143,15 +138,15 @@ def _cmd_generate(args) -> int:
                     name = f"{letter}_{a}{b}"
                     seed = args.seed * 1000 + (0 if letter == "R" else 500) + a * 10 + b
                     schedule_args.append((pattern, delta, name, seed))
+    elif args.name == "":
+        raise UsageError("--name must not be empty")
     else:
         name = args.name or f"{args.pattern[0].upper()}_{args.delta}_{args.seed}"
         schedule_args.append((args.pattern, args.delta, name, args.seed))
     out_dir: Path = args.out
     # No input is read, so a rejected value is a flag's, found before a file opens.
     try:
-        jobs = [(GeneratorConfig(rho=args.rho, l_min=args.lmin, l_max=args.lmax,
-                                 beta=args.beta, m=args.m, seed=seed,
-                                 prefix_len=args.prefix_len),
+        jobs = [(GeneratorConfig(m=args.m, seed=seed, prefix_len=args.prefix_len),
                  DriftSchedule.make(pattern, delta), name)
                 for pattern, delta, name, seed in schedule_args]
         out_dir.mkdir(parents=True, exist_ok=True)

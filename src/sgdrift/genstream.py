@@ -2,7 +2,10 @@
 
 The generator emits bursts of edges, one fresh timestamp per burst. Each
 burst's size and wiring depend on two regime parameters: the connection
-probability rho and the random-walk length range [l_min, l_max]. With
+probability rho and the random-walk length range [l_min, l_max]. Every
+regime is a module constant of ``(rho, l_min, l_max)``: ``PREFIX_PARAMS``
+for the stand-in prefix, and ``BASE_PARAMS`` and ``RAISED_PARAMS`` for the
+plateaus the drift schedules alternate between. With
 probability rho a burst move stamps a complete (2,2)-biclique whose
 j-vertices are found by a short wedge walk over the recently generated
 graph (closing wedges into butterflies inside the burst); otherwise a
@@ -33,11 +36,14 @@ from .stream_model import SGR
 
 PATTERNS = ("gradual", "recurring")
 
-# Parameter plateaus the schedules alternate between, and the regime-0
-# defaults used for the stand-in prefix.
+# Parameter plateaus the schedules alternate between, and the regime of
+# the stand-in prefix.
 BASE_PARAMS = (0.4, 1, 4)
 RAISED_PARAMS = (0.6, 3, 4)
 PREFIX_PARAMS = (0.3, 1, 2)
+
+# Recency horizon (bursts) of walk targets, so motifs close locally in time.
+RECENT_BURSTS = 5
 
 # Every generated edge has unit weight.
 OMEGA = 1.0
@@ -45,28 +51,21 @@ OMEGA = 1.0
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Regime-0 parameters plus the knobs shared by every regime.
+    """The knobs a caller sets; every regime is a constant.
 
-    ``beta`` is the recency horizon (bursts) for walk targets and ``m`` the
-    per-burst batch size feeding the burst-size draw; both shift scale, not
-    the characteristic patterns.
+    The regimes are ``PREFIX_PARAMS``, ``BASE_PARAMS`` and ``RAISED_PARAMS``.
+    ``m`` is the per-burst batch size feeding the burst-size draw; it shifts
+    scale, not the characteristic patterns, and stays a field because the
+    golden edge-case streams set ``m=2``.
     """
 
-    rho: float = PREFIX_PARAMS[0]
-    l_min: int = PREFIX_PARAMS[1]
-    l_max: int = PREFIX_PARAMS[2]
-    beta: int = 5
     m: int = 10
     seed: int = 0
     prefix_len: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-        if not 1 <= self.l_min <= self.l_max:
-            raise ValueError("walk range must satisfy 1 <= l_min <= l_max")
-        if self.beta < 1 or self.m < 1:
-            raise ValueError("beta and m must be positive")
+        if self.m < 1:
+            raise ValueError("m must be positive")
         if self.prefix_len < 0 or self.seed < 0:  # Random(-s) seeds like Random(s)
             raise ValueError("prefix_len and seed must be non-negative")
 
@@ -162,18 +161,17 @@ class _Emitter:
             raise ValueError("n must exceed the prefix length")
         self.config = config
         self.rng = random.Random(config.seed)
-        self.recent = _RecentGraph(config.beta)
+        self.recent = _RecentGraph(RECENT_BURSTS)
         self.next_i = self.next_j = 0
         # Walk the schedule's plateaus, splitting the one the prefix ends in.
         # A change inside the prefix still ends a segment, but not a drift.
         p = config.prefix_len
-        prefix = (config.rho, config.l_min, config.l_max)
         self.segments: list[tuple[int, tuple[float, int, int], bool]] = []
         start, params = 0, BASE_PARAMS
         for end, following in [*(c for c in schedule.changes if c[0] < n), (n, None)]:
             if start < p < end:
-                self.segments.append((p, prefix, True))
-            self.segments.append((end, prefix if end <= p else params, p <= end < n))
+                self.segments.append((p, PREFIX_PARAMS, True))
+            self.segments.append((end, PREFIX_PARAMS if end <= p else params, p <= end < n))
             start, params = end, following
 
     def _fresh_i(self) -> str:

@@ -79,9 +79,7 @@ class SgddConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.x <= 1.0:
             raise ValueError("youth fraction x must be in (0, 1]")
-        if not math.isfinite(self.sigma):
-            raise ValueError("frequency spread sigma must be finite")
-        if self.sigma < 0.0:  # a standard deviation; 0 stays legal
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):  # 0 stays legal
             raise ValueError("frequency spread sigma must be finite and non-negative")
         if self.seed < 0:  # Random(-s) seeds like Random(s)
             raise ValueError("seed must be non-negative")

@@ -16,6 +16,7 @@ from sgdrift.sgdp import FULL_F_SCHEDULE, SgdpConfig, run_sgdp
 from sgdrift.signals import DriftSignal
 from sgdrift.stream_model import parse_sgr
 from test_golden import SGDD_GOLDEN, _digest
+from test_readme import _flags
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -60,6 +61,28 @@ def test_generate_is_reproducible(tmp_path):
 def test_generate_missing_pattern_is_usage_error(capsys):
     assert main(["generate", "--delta", "10", "--n", "100"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+# A value other than the base run's for each flag that shapes a stream.
+ALTERED = {"--delta": "250", "--n": "2100", "--seed": "1", "--m": "3"}
+
+
+@pytest.mark.parametrize("prefix", [0, 200])
+@pytest.mark.parametrize("flag", sorted(_flags("generate")
+                                        - {"--out", "--name", "--pattern", "--batch"}))
+def test_every_generate_knob_shapes_the_stream(tmp_path, flag, prefix):
+    # A flag missing from ALTERED fails here, so a new knob must show its effect.
+    altered = str(prefix + 150) if flag == "--prefix-len" else ALTERED[flag]
+
+    def written(directory, knobs):
+        argv = [word for pair in knobs.items() for word in pair]
+        assert main(["generate", "--pattern", "gradual", *argv, "--name", "g",
+                     "--out", str(directory)]) == 0
+        return (directory / "g.stream").read_bytes(), (directory / "g.truth").read_bytes()
+
+    base = {"--delta": "300", "--n": "2000", "--prefix-len": str(prefix)}
+    assert written(tmp_path / "altered", {**base, flag: altered}) != \
+        written(tmp_path / "base", base)
 
 
 def test_generate_batch_emits_stream_family(tmp_path):
@@ -150,10 +173,10 @@ REJECTED_FLAGS = {
                              "seed must be non-negative"),
     "detect-sigma-nan": (["detect", "--mode", "sgdd", "--sigma", "nan", "--input",
                           "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
-                         "frequency spread sigma must be finite"),
+                         "frequency spread sigma must be finite and non-negative"),
     "detect-sigma-inf": (["detect", "--mode", "both", "--sigma", "inf", "--input",
                           "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
-                         "frequency spread sigma must be finite"),
+                         "frequency spread sigma must be finite and non-negative"),
     "detect-f-schedule": (["detect", "--mode", "both", "--f-schedule", "1.5",
                            "--input", "g.stream", "--out", "sig.jsonl"], "sig.jsonl",
                           "threshold factors must lie in (0, 1]"),
@@ -261,9 +284,19 @@ REJECTED_FLAGS = {
     "generate-seed-negative": (["generate", "--pattern", "gradual", "--delta", "100",
                                 "--n", "1500", "--seed", "-3", "--name", "g", "--out", "."],
                                "g.stream", "prefix_len and seed must be non-negative"),
-    "generate-rho": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
-                      "--rho", "1.5", "--name", "g", "--out", "."], "g.stream",
-                     "rho must be in (0, 1)"),
+    "generate-m-zero": (["generate", "--pattern", "gradual", "--delta", "100", "--n", "1500",
+                         "--m", "0", "--name", "g", "--out", "."], "g.stream",
+                        "m must be positive"),
+    # An empty name would fall back to the default basename.
+    "generate-empty-name": (["generate", "--pattern", "gradual", "--delta", "100", "--n",
+                             "1500", "--name", "", "--out", "."], "G_100_0.stream",
+                            "--name must not be empty"),
+    # Every regime is a constant, so no flag sets one.
+    **{f"generate-{flag[2:]}": (["generate", "--pattern", "gradual", "--delta", "100",
+                                 "--n", "1500", flag, value, "--name", "g", "--out", "."],
+                                "g.stream", f"unrecognized arguments: {flag} {value}")
+       for flag, value in (("--rho", "0.5"), ("--lmin", "2"), ("--lmax", "3"),
+                           ("--beta", "4"))},
     "generate-batch-pattern": (["generate", "--batch", "--pattern", "recurring", "--delta",
                                 "100", "--n", "1500", "--out", "."], "R_11.stream",
                                "argument --pattern: not allowed with argument --batch"),

@@ -146,13 +146,7 @@ def test_rejects_n_not_exceeding_prefix():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GeneratorConfig(rho=0.0)
-    with pytest.raises(ValueError):
-        GeneratorConfig(l_min=3, l_max=2)
-    with pytest.raises(ValueError, match="beta and m must be positive"):
-        GeneratorConfig(beta=0)
-    with pytest.raises(ValueError, match="beta and m must be positive"):
+    with pytest.raises(ValueError, match="m must be positive"):
         GeneratorConfig(m=0)
 
 

@@ -59,13 +59,23 @@ def test_cli_examples_parse():
             pytest.fail(f"sgdrift {shlex.join(argv)}: {exc}")
 
 
-def test_knob_table_lists_every_detect_knob():
-    match = re.search(r"^### Detector knobs\n(.*?)^#", README.read_text(encoding="utf-8"),
+def _table_flags(section: str) -> set[str]:
+    match = re.search(rf"^### {section}\n(.*?)^#", README.read_text(encoding="utf-8"),
                       re.S | re.M)
-    assert match, "README has no '### Detector knobs' section"
-    listed = set(re.findall(r"^\| `(--[a-z-]+)` \|", match.group(1), re.M))
-    detect = next(action.choices for action in build_parser()._actions
-                  if isinstance(action, argparse._SubParsersAction))["detect"]
-    knobs = {flag for action in detect._actions for flag in action.option_strings
-             if flag.startswith("--")} - {"--help", "--mode", "--input", "--out"}
-    assert listed == knobs
+    assert match, f"README has no '### {section}' section"
+    return set(re.findall(r"^\| `(--[a-z-]+)` \|", match.group(1), re.M))
+
+
+def _flags(subcommand: str) -> set[str]:
+    parser = next(action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))[subcommand]
+    return {flag for action in parser._actions for flag in action.option_strings
+            if flag.startswith("--")} - {"--help"}
+
+
+def test_knob_table_lists_every_detect_knob():
+    assert _table_flags("Detector knobs") == _flags("detect") - {"--mode", "--input", "--out"}
+
+
+def test_knob_table_lists_every_generate_flag():
+    assert _table_flags("Generator knobs") == _flags("generate")
