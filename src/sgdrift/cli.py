@@ -12,8 +12,9 @@ Signals are serialized as JSON lines so downstream consumers can tail
 them live.
 
 Exit codes: 0 success, 1 usage error (also a flag value the library
-rejects, whatever ``--mode``, or ``generate --batch --name`` or an empty
-``--name``, found before any file is read or opened), 2
+rejects, whatever ``--mode``, or ``generate --batch --name`` or a
+``--name`` that is empty or holds a path separator, found before any file
+is read or opened), 2
 data error: any ``ValueError``, ``OSError`` or ``DeterminismError`` raised
 after the usage checks. Every default that a config class declares is read
 from that class.
@@ -140,6 +141,8 @@ def _cmd_generate(args) -> int:
                     schedule_args.append((pattern, delta, name, seed))
     elif args.name == "":
         raise UsageError("--name must not be empty")
+    elif {"/", os.sep, os.altsep} & set(args.name or ""):
+        raise UsageError("--name is a basename inside --out, so it takes no path separator")
     else:
         name = args.name or f"{args.pattern[0].upper()}_{args.delta}_{args.seed}"
         schedule_args.append((args.pattern, args.delta, name, args.seed))

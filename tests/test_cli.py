@@ -291,6 +291,14 @@ REJECTED_FLAGS = {
     "generate-empty-name": (["generate", "--pattern", "gradual", "--delta", "100", "--n",
                              "1500", "--name", "", "--out", "."], "G_100_0.stream",
                             "--name must not be empty"),
+    # A name with a path separator would write outside --out, or into a
+    # folder of it that does not exist.
+    "generate-name-parent": (["generate", "--pattern", "gradual", "--delta", "100", "--n",
+                              "1500", "--name", "../escaped", "--out", "o"], "escaped.stream",
+                             "--name is a basename inside --out, so it takes no path separator"),
+    "generate-name-subdir": (["generate", "--pattern", "gradual", "--delta", "100", "--n",
+                              "1500", "--name", "sub/g", "--out", "o"], "o/sub/g.stream",
+                             "--name is a basename inside --out, so it takes no path separator"),
     # Every regime is a constant, so no flag sets one.
     **{f"generate-{flag[2:]}": (["generate", "--pattern", "gradual", "--delta", "100",
                                  "--n", "1500", flag, value, "--name", "g", "--out", "."],
@@ -321,6 +329,14 @@ def test_rejected_flag_is_usage_error_and_leaves_output_untouched(
     assert main(argv) == 1
     assert f"usage error: {message}\n" in capsys.readouterr().err
     assert (path.read_bytes() if path.exists() else None) == before
+
+
+@pytest.mark.parametrize("case", ["generate-name-parent", "generate-name-subdir"])
+def test_generate_name_with_a_separator_creates_no_out_dir(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    argv, _, _ = REJECTED_FLAGS[case]
+    assert main(argv) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_full_f_schedule_flag_runs_the_library_full_schedule(tmp_path):

@@ -316,27 +316,47 @@ def test_filled_o1_placeholders_give_the_reference_series(pattern, seed, variant
 
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
-def test_no_step_integrates_more_than_twice_while_s_is_at_most_two(
+def test_only_c3_blocked_windows_integrate_ahead_of_their_check(
         monkeypatch, pattern, seed, variant):
-    # Where the bound on S stays at most 2, a check reads at most one
-    # placeholder besides its own window, and a window integrates after its
-    # check only if it was not read in it.
+    # A window integrates after its check only while C3 blocks that check.
+    # Once C3 opens, every window is a check and every O2 it integrates is
+    # one it reads. A check integrates its own window and each unfilled one
+    # of the S before it, so at most S + 1, and the golden runs reach that.
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
-    bounds, calls = [], []
-    bound, integrate = sgdd.suffix_bound, sgdd.rk4_step
+    state = SgddState(config=SgddConfig(seed=seed, variant=variant))
+    bounds, last, checking, integrated, read = [], [], [], [], set()
+    bound, check, rebuild = sgdd.suffix_bound, sgdd.cdc_butterfly, sgdd.rebuild_o2
+
+    def reading_check(*args):
+        *args, fill = args
+        last.append(args[5][-1])  # the last signalled window before this check
+
+        def reading_fill(series, first, stop):
+            if series is state.o2:
+                read.update(range(first, stop))
+            fill(series, first, stop)
+
+        checking.append(True)
+        signal = check(*args, reading_fill)
+        checking.pop()
+        return signal
+
     monkeypatch.setattr(sgdd, "suffix_bound",
                         lambda *args: bounds.append(bound(*args)) or bounds[-1])
-    monkeypatch.setattr(sgdd, "rk4_step",
-                        lambda *args: calls.append(None) or integrate(*args))
-    state = SgddState(config=SgddConfig(seed=seed, variant=variant))
-    per_step = []
+    monkeypatch.setattr(sgdd, "cdc_butterfly", reading_check)
+    monkeypatch.setattr(sgdd, "rebuild_o2", lambda s, k: integrated.append(
+        (len(s.o1), k, not checking)) or rebuild(s, k))
     for r in records:
         sgdd_step(state, r)
-        per_step.append(len(calls))
-        calls.clear()
-    assert max(bounds) <= 2
-    assert max(per_step) == 2
+    per_window = {}
+    for window, _, _ in integrated:
+        per_window[window] = per_window.get(window, 0) + 1
+    assert max(n - bounds[w - 1] for w, n in per_window.items()) == 1
+    after = [w for w, _, after_check in integrated if after_check]
+    assert after and all(w - last[w - 1] <= 10 for w in after)
+    opened = [k for w, k, _ in integrated if w - last[w - 1] > 10]
+    assert opened and all(k in read for k in opened)
 
 
 def _saturated_stream(big_tau: int) -> list[SGR]:
@@ -492,6 +512,54 @@ def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
     assert rebuilt == [9, 8, 10, 20, 21, 31, 30, 32]
     assert prefixes == [(7, 0), (19, 0), (29, 0)]
+
+
+def _growing_star_stream(grow_until: int) -> list[SGR]:
+    """Bursts that each add one butterfly on a shared j-vertex, then stop adding.
+
+    Like ``_isolated_butterflies_stream``, but every butterfly shares the
+    j-vertex ``s``, so each new vertex links to all the earlier ones and O1
+    changes every window the graph grows. From the burst at ``grow_until``
+    on, each burst re-sends that burst's butterfly, so the graph is steady.
+    """
+    records = []
+    for tau in range(1, 40):
+        k = min(tau, grow_until)
+        edges = [(f"z{tau}", f"w{tau}")]
+        edges += [(f"{i}{k}", j) for i in "ab" for j in ("s", f"y{k}")]
+        for i, j in edges:
+            records.append(SGR(i, j, 1.0, tau, len(records) + 1))
+    return records
+
+
+@pytest.mark.libm
+def test_growing_graph_integrates_only_what_checks_read(monkeypatch):
+    # Window w holds w - 2 vertices up to window 14, and 12 from then on,
+    # so the graph grows in windows 11-14, after C3 opens at window 11.
+    # Each of those checks fails C1, because O1 changes with the graph, and
+    # reads no O2, so none of them integrates (the after-check fill used to
+    # integrate windows 12 and 14, and window 12 went unread). The check
+    # at window 16 is the first whose O1 suffix is steady: it integrates the
+    # two windows before it and its own (13, 14, 15), S + 1 = 3, and fires.
+    # At d = 2 the bound on S is 1 and the S = 1 check at window 27 reads
+    # the window before and its own (25, 26). At d = 3 the bound is 2 again,
+    # and window 37, whose check C3 blocks, integrates after it (36), as
+    # window 10 did at d = 1 (9). The pairs are (window, o2 index).
+    records = _growing_star_stream(grow_until=15)
+    config = SgddConfig(seed=0)
+    rebuilt = []
+    rebuild = sgdd.rebuild_o2
+    monkeypatch.setattr(sgdd, "rebuild_o2",
+                        lambda state, k: rebuilt.append((len(state.o1), k)) or rebuild(state, k))
+    state = SgddState(config=config)
+    signals = [s for r in records if (s := sgdd_step(state, r)) is not None]
+    assert [n for n, _, _ in state.sizes[10:15]] == [9, 10, 11, 12, 12]
+    assert len(set(state.o1[10:14])) == 4
+    assert rebuilt == [(10, 9), (16, 13), (16, 14), (16, 15), (27, 25), (27, 26), (37, 36)]
+    assert [(s.window, s.params["S"]) for s in signals] == [(16, 2), (27, 1)]
+    expected, reference_o2 = _reference_run(records, config)
+    assert [state.o2[k] for _, k in rebuilt] == [reference_o2[k] for _, k in rebuilt]
+    assert [s.fingerprint() for s in signals] == [s.fingerprint() for s in expected]
 
 
 def test_boundary_record_joins_closing_window():
