@@ -30,27 +30,20 @@ index. A signal's ``t`` is the ``t`` of the record that closed its window.
 
 Only O2 needs the frequencies and the integration, and a check reads O2
 only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1 (``o1``
-alone), and reads ``o2`` last, at most S windows back. S never exceeds
-the bound b of ``sgdp.suffix_bound`` (1 on the parity of d that swaps the
-ratio, floor(log10(max(maximum, 100))) otherwise), so with L the last
-signalled window a check can read window W only if W + b > L + 10. A
-window with a non-empty graph appends ``None`` to ``o2``, and every
-window records in ``sizes`` its graph's size and the draws before it, from
-which ``rebuild_o2`` computes its O2 at any time. A check fills the
-placeholders it reads, its own window last. After the check, a window is
-filled only while C3 blocks its check (W <= L + 10), and then only if it
-is readable and one of the b - 1 readable windows before it holds a
-placeholder. So with b = 1 no window integrates ahead of its check, and
-with b = 2 window L + 10 does when L + 9 skipped, which leaves the first
-check C3 lets through two integrations. From there every window is a
-check, and its O2 is computed only if that check reads it: every O2
-integrated after C3 opens is read. A check integrates its own window and
-each of the S before it still unfilled, so at most S + 1 windows (3 while
-b = 2, after two checks that C1 stopped). O1 is taken by readability
-alone: an unreadable window appends ``None`` to ``o1``, a readable one
-takes the coherence (from the cached sines and cosines) only if the graph
-grew or the window before holds ``None``, and a check fills older
-placeholders from ``graph_at``.
+alone), and reads ``o2`` last, at most S windows back. A window with a
+non-empty graph appends ``None`` to ``o2``, and every window records in
+``sizes`` its graph's size and the draws before it, from which
+``rebuild_o2`` computes its O2 at any time. O2 is computed only inside the
+check that reads it, oldest first: the check fills the placeholders of the
+slice it reads, its own window last, so it integrates at most S + 1
+windows, and every O2 integrated is read. O1 is taken by readability: S
+never exceeds the bound b of ``sgdp.suffix_bound`` (1 on the parity of d
+that swaps the ratio, floor(log10(max(maximum, 100))) otherwise), so with
+L the last signalled window a check can read window W only if
+W + b > L + 10. An unreadable window appends ``None`` to ``o1``, a
+readable one takes the coherence (from the cached sines and cosines) only
+if the graph grew or the window before holds ``None``, and a check fills
+older placeholders from ``graph_at``.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
 from statistics import fmean
 
 from .butterfly import BipartiteWindow, young_timestamps
@@ -69,9 +61,10 @@ from .signals import DriftSignal, now_ms
 from .stream_model import BurstProfile, SGR, ingest_timestamp as ingest
 from .uwgo import OscillatorGraph, assign_phases, order_parameter, project, rk4_step
 
-# Uniforms skipped per getrandbits call when an RNG cursor seeks ahead:
-# about the cost of copying an RNG's state, so a cursor that lags an
-# unfilled window by more draws is brought up to it by a copy instead.
+# Uniforms skipped per getrandbits call when ``_seek`` brings an RNG ahead:
+# enough to spread the call's overhead (a uniform costs about the same from
+# 1,024 to a million per call), few enough that each call's integer stays
+# at 32 KB however long the seek.
 REPLAY_CHUNK = 1 << 12
 
 
@@ -100,8 +93,9 @@ class SgddState:
     closed, and ``o2`` for a window whose O2 nothing has read yet.
     ``sizes`` is the per-window history: ``(V, E, G)`` per closed window,
     its graph's vertex and edge counts and G, the frequencies drawn before
-    it (the previous window's G + V). ``cursors`` holds two ``[rng, at]``:
-    an RNG seeded with ``config.seed`` that has made ``at`` Gaussian draws.
+    it (the previous window's G + V). ``cursor`` is ``(rng, at)``: an RNG
+    seeded with ``config.seed`` that has made ``at`` Gaussian draws, where
+    the last window ``rebuild_o2`` computed ends.
     No record count is kept: a signal's ``t`` is its record's.
     """
 
@@ -113,10 +107,10 @@ class SgddState:
     o2: list[float | None] = field(default_factory=list, init=False)
     drift_windows: list[int] = field(default_factory=lambda: [0], init=False)
     sizes: list[tuple[int, int, int]] = field(default_factory=list, init=False)
-    cursors: list[list] = field(init=False, repr=False)
+    cursor: tuple[random.Random, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.cursors = [[random.Random(self.config.seed), 0] for _ in range(2)]
+        self.cursor = (random.Random(self.config.seed), 0)
 
 
 def sprime_length(s: int, d: int) -> int:
@@ -176,35 +170,23 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     """Compute window ``index``'s O2, store it at ``state.o2[index]`` and return it.
 
     Every window's O2 is computed here, from ``graph_at(state, index)`` and
-    the Gaussian draws G to G + V of an RNG seeded with ``config.seed``: the
-    cursor furthest along that has not passed G seeks to it, or a
-    fresh RNG does if both have. A seek that passes an unfilled window just
-    before this one copies its state there to the other cursor if that
-    lags it by more than ``REPLAY_CHUNK`` draws. A fresh RNG seeks from draw
-    0, O(G) uniforms, so rebuilding newest first is quadratic in the stream.
-    ``sgdd_step`` fills oldest first but for one case: while C3 blocks a
-    check, its after-check fill integrates window W while W - 1 can still
-    be a placeholder, which the first check C3 lets through rebuilds after
-    W. The copy above keeps the other cursor at, or at most ``REPLAY_CHUNK``
-    draws before, W - 1's draws, so the rebuild starts no fresh RNG; it
-    started none on the 36 ``sgdd-dense`` streams of seeds 0, 1 and 5.
+    the Gaussian draws G to G + V of an RNG seeded with ``config.seed``:
+    the state's cursor seeks forward to G and stays where V's draws end.
+    ``sgdd_step`` rebuilds windows oldest first, so only a window behind
+    the cursor seeds a fresh RNG: a library caller's order, or a check that
+    reads an unfilled window before the last check's slice, which needs its
+    S two or more above that check's. A fresh RNG seeks from draw 0, O(G)
+    uniforms, so rebuilding newest first is quadratic in the stream.
     """
     (n, _, g), graph = state.sizes[index], graph_at(state, index)
-    cursor = max((c for c in state.cursors if c[1] <= g), key=itemgetter(1),
-                 default=None) or [random.Random(state.config.seed), 0]
-    rng, at = cursor
-    if index and state.o2[index - 1] is None:
-        start = state.sizes[index - 1][2]
-        for other in state.cursors:
-            if at <= start and other[1] < start - REPLAY_CHUNK and other is not cursor:
-                _seek(rng, at, start)
-                at = other[1] = start
-                other[0].setstate(rng.getstate())
+    rng, at = state.cursor
+    if at > g:
+        rng, at = random.Random(state.config.seed), 0
     _seek(rng, at, g)
     assign_phases(graph, rng, state.config.sigma)
     delta = rk4_step(graph)
     value = state.o2[index] = order_parameter([delta[v] for v in graph.order])
-    cursor[1] = g + n
+    state.cursor = (rng, g + n)
     return value
 
 
@@ -272,16 +254,8 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
                 series[k] = (rebuild_o2(state, k) if series is o2
                              else graph_at(state, k).coherence())
 
-    signal = cdc_butterfly(profile.maximum, profile.average, o1, o2, r.t,
-                           drift_windows, variant, fill)
-    # While C3 blocks this window's check, filling it when a readable window
-    # among the bound - 1 before it is unfilled leaves the first open check
-    # at most one placeholder besides its own. Once C3 opens, every window
-    # is a check and its O2 is computed only when a check reads it.
-    if (o2[-1] is None and readable <= window <= drift_windows[-1] + 10
-            and None in o2[max(window - bound, readable - 1, 0):-1]):
-        rebuild_o2(state, window - 1)
-    return signal
+    return cdc_butterfly(profile.maximum, profile.average, o1, o2, r.t,
+                         drift_windows, variant, fill)
 
 
 def run_sgdd(records, config: SgddConfig | None = None) -> list[DriftSignal]:

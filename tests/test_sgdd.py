@@ -315,48 +315,68 @@ def test_filled_o1_placeholders_give_the_reference_series(pattern, seed, variant
     assert [v.hex() for v in state.o1] == [v.hex() for v in expected]
 
 
-@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
-def test_only_c3_blocked_windows_integrate_ahead_of_their_check(
-        monkeypatch, pattern, seed, variant):
-    # A window integrates after its check only while C3 blocks that check.
-    # Once C3 opens, every window is a check and every O2 it integrates is
-    # one it reads. A check integrates its own window and each unfilled one
-    # of the S before it, so at most S + 1, and the golden runs reach that.
+def _traced_golden_run(monkeypatch, pattern, seed, variant):
+    """Run one golden stream, tracing every check through its ``fill`` hook.
+
+    Returns one namespace per check: ``d``, the drift log's length before
+    it; ``read``, the range of the O2 slice it filled (``None`` if C3 or C1
+    stopped it); ``rebuilt``, the indices ``rebuild_o2`` computed inside
+    that fill; and ``fired``. Also returns the indices rebuilt anywhere else.
+    """
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     state = SgddState(config=SgddConfig(seed=seed, variant=variant))
-    bounds, last, checking, integrated, read = [], [], [], [], set()
-    bound, check, rebuild = sgdd.suffix_bound, sgdd.cdc_butterfly, sgdd.rebuild_o2
+    checks, filling, outside = [], [], []
+    check, rebuild = sgdd.cdc_butterfly, sgdd.rebuild_o2
 
-    def reading_check(*args):
+    def traced_check(*args):
         *args, fill = args
-        last.append(args[5][-1])  # the last signalled window before this check
+        traced = SimpleNamespace(d=len(args[5]), read=None, rebuilt=[])
 
-        def reading_fill(series, first, stop):
-            if series is state.o2:
-                read.update(range(first, stop))
+        def traced_fill(series, first, stop):
+            if series is not state.o2:
+                return fill(series, first, stop)
+            traced.read = range(first, stop)
+            filling.append(traced)
             fill(series, first, stop)
+            filling.pop()
 
-        checking.append(True)
-        signal = check(*args, reading_fill)
-        checking.pop()
+        checks.append(traced)
+        signal = check(*args, traced_fill)
+        traced.fired = signal is not None
         return signal
 
-    monkeypatch.setattr(sgdd, "suffix_bound",
-                        lambda *args: bounds.append(bound(*args)) or bounds[-1])
-    monkeypatch.setattr(sgdd, "cdc_butterfly", reading_check)
-    monkeypatch.setattr(sgdd, "rebuild_o2", lambda s, k: integrated.append(
-        (len(s.o1), k, not checking)) or rebuild(s, k))
+    monkeypatch.setattr(sgdd, "cdc_butterfly", traced_check)
+    monkeypatch.setattr(sgdd, "rebuild_o2", lambda s, k: (
+        filling[-1].rebuilt if filling else outside).append(k) or rebuild(s, k))
     for r in records:
         sgdd_step(state, r)
-    per_window = {}
-    for window, _, _ in integrated:
-        per_window[window] = per_window.get(window, 0) + 1
-    assert max(n - bounds[w - 1] for w, n in per_window.items()) == 1
-    after = [w for w, _, after_check in integrated if after_check]
-    assert after and all(w - last[w - 1] <= 10 for w in after)
-    opened = [k for w, k, _ in integrated if w - last[w - 1] > 10]
-    assert opened and all(k in read for k in opened)
+    return checks, outside
+
+
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
+def test_checks_integrate_only_the_o2_they_read_oldest_first(
+        monkeypatch, pattern, seed, variant):
+    # O2 is computed only inside the check that reads it: the check's O2
+    # slice is the S windows before it and its own, so it integrates at most
+    # S + 1, and the golden runs reach that. Checks come in window order
+    # and fill their slices oldest first, so the rebuilt indices increase.
+    checks, outside = _traced_golden_run(monkeypatch, pattern, seed, variant)
+    assert outside == []
+    assert all(k in c.read for c in checks for k in c.rebuilt)
+    assert max(len(c.rebuilt) - len(c.read) for c in checks if c.read) == 0
+    rebuilt = [k for c in checks for k in c.rebuilt]
+    assert rebuilt and all(a < b for a, b in zip(rebuilt, rebuilt[1:]))
+
+
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
+def test_every_check_reaching_c2_at_sprime_1_fires(monkeypatch, pattern, seed, variant):
+    # At S' = 1, C2 asks only that one of the S earlier O2 values differ
+    # from the check's own, which the random frequencies all but ensure.
+    checks, _ = _traced_golden_run(monkeypatch, pattern, seed, variant)
+    at_one = [c.fired for c in checks
+              if c.read and sprime_length(len(c.read) - 1, c.d) == 1]
+    assert at_one and all(at_one)
 
 
 def _saturated_stream(big_tau: int) -> list[SGR]:
@@ -374,25 +394,22 @@ def _saturated_stream(big_tau: int) -> list[SGR]:
 
 def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
     # Seed 0 signals at windows 11, 22, 33, ... In parentheses, the
-    # rebuild_o2 calls by o2 index, which is w - 1 for window w.
-    # Where the bound on S is 2 (d = 1 and d = 3), the readable windows
-    # alternate: window 9 skips, window 10 integrates after its check (9),
-    # and the S = 2 check at window 11 rebuilds window 9 and integrates its
-    # own (8, 10). At d = 2 (windows 12-22) and d = 4 (windows 34-44) the
-    # bound on S is 1, so every window skips, and the S = 1 checks at
-    # windows 22 and 44 integrate the window before and their own (20, 21
-    # and 42, 43). The burst at timestamp 32 opens with the record that
-    # closes window 30, so the largest burst reaches 1,000 only after
-    # window 30 was skipped as unreadable under S <= 2. The bound is then
-    # 3: windows 31 and 32 integrate after their checks (30, 31), and at
-    # window 33, d = 3 gives S = 3, so the check rebuilds window 30 and
-    # integrates its own (29, 32). At d = 5 the bound is 3 again: window 52
-    # skips, 53 and 54 integrate, and the S = 3 check at window 55 rebuilds
-    # window 52 (52, 53, 51, 54).
+    # rebuild_o2 calls by o2 index, which is w - 1 for window w. Every
+    # window skips its O2, and each signalling check integrates the S
+    # windows before it and its own, oldest first. Where the bound on S is
+    # 2 (d = 1), the S = 2 check at window 11 reads (8, 9, 10). At d = 2
+    # (windows 12-22) and d = 4 (windows 34-44) the bound on S is 1, so the
+    # S = 1 checks at windows 22 and 44 read (20, 21) and (42, 43). The
+    # burst at timestamp 32 opens with the record that closes window 30, so
+    # the largest burst reaches 1,000 only after window 30 was skipped as
+    # unreadable under S <= 2. At window 33, d = 3 gives S = 3, so the check
+    # reaches back past the readable windows to window 30 (29, 30, 31, 32).
+    # At d = 5 the bound is 3 again, and the S = 3 check at window 55 reads
+    # (51, 52, 53, 54).
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
-    assert rebuilt == [9, 8, 10, 20, 21, 30, 31, 29, 32, 42, 43, 52, 53, 51, 54]
+    assert rebuilt == [8, 9, 10, 20, 21, 29, 30, 31, 32, 42, 43, 51, 52, 53, 54]
     expected, reference_o2 = _reference_run(records, config)
     assert [o2[k] for k in rebuilt] == [reference_o2[k] for k in rebuilt]
     assert [s.params["S"] for s in signals if s.window == 33] == [3]
@@ -401,10 +418,9 @@ def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_golden_runs_start_no_fresh_rng(monkeypatch, pattern, seed, variant):
-    # rebuild_o2 seeds a fresh RNG only when both cursors have passed the
-    # window it rebuilds. sgdd_step can rebuild W - 1 after W, but the seek
-    # to W's draws leaves the other cursor at most REPLAY_CHUNK draws before
-    # W - 1's, so the only RNGs a run seeds are its state's two cursors.
+    # rebuild_o2 seeds a fresh RNG only when its cursor has passed the
+    # window it rebuilds. sgdd_step rebuilds windows oldest first, so the
+    # only RNG a run seeds is its state's cursor.
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     seeded = []
@@ -413,12 +429,12 @@ def test_golden_runs_start_no_fresh_rng(monkeypatch, pattern, seed, variant):
     signals = run_sgdd(records, SgddConfig(seed=seed, variant=variant))
     expected = SGDD_GOLDEN[(pattern, seed)] if variant == "default" else SGDD_APPENDIX_GOLDEN
     assert _digest(signals) == expected
-    assert seeded == [seed, seed]
+    assert seeded == [seed]
 
 
 def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
-    # Newest first: the first two rebuilds take both RNG cursors past every
-    # other placeholder, which must each start a fresh RNG from the seed.
+    # Newest first: the first rebuild takes the RNG cursor past every other
+    # placeholder, which must each start a fresh RNG from the seed.
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
     state = SgddState(config=config)
@@ -432,7 +448,7 @@ def test_every_placeholder_rebuilds_in_any_order(monkeypatch):
         Random=lambda seed: fresh.append(seed) or random.Random(seed)))
     assert [rebuild_o2(state, k) for k in pending] == [reference_o2[k] for k in pending]
     assert None not in state.o2
-    assert fresh == [config.seed] * (len(pending) - 2)
+    assert fresh == [config.seed] * (len(pending) - 1)
 
 
 def _isolated_butterflies_stream() -> list[SGR]:
@@ -476,26 +492,25 @@ def _check_s1_rebuild(monkeypatch, records):
 @pytest.mark.libm
 def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
     # The complete 3 x 3 window re-derives the same butterflies every
-    # window, so the graph stops growing at window 3. At d = 2 and d = 4
-    # every window skips, and the checks at windows 22 and 44 integrate the
-    # live graph for the window before as well as for their own (20, 21
-    # and 42, 43). Where the bound on S is 2, the readable windows
-    # alternate, so the S = 2 checks at windows 11, 33 and 55 follow a
-    # window that integrated after its check (9, 31, 53), rebuild the
-    # first readable window before them, which skipped (8, 30, 52), and
-    # integrate their own (10, 32, 54).
+    # window, so the graph stops growing at window 3. Every window skips its
+    # O2, and each check integrates the live graph for the windows it reads,
+    # oldest first: at d = 2 and d = 4 the S = 1 checks at windows 22 and
+    # 44 read the window before and their own (20, 21 and 42, 43), and the
+    # S = 2 checks at windows 11, 33 and 55 the two windows before and
+    # their own (8, 9, 10 and 30, 31, 32 and 52, 53, 54).
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, _saturated_stream(big_tau=0))
-    assert rebuilt == [9, 8, 10, 20, 21, 31, 30, 32, 42, 43, 53, 52, 54]
+    assert rebuilt == [8, 9, 10, 20, 21, 30, 31, 32, 42, 43, 52, 53, 54]
     assert prefixes == []
 
 
 @pytest.mark.libm
 def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
-    # Here the graph grows by one vertex every window, so window 21's graph
-    # is one vertex short of the live one and is rebuilt through prefix, as
-    # are windows 9 and 31, which the S = 2 checks at windows 11 and 33 read
-    # (8, 20, 30). Every other window integrates while its graph is the
-    # live one: after its own check (9, 31) or in it (10, 21, 32).
+    # Here the graph grows by one vertex every window, so every window a
+    # check reads before its own is smaller than the live graph and is
+    # rebuilt through prefix: windows 9 and 10 for the S = 2 check at
+    # window 11 (8, 9), window 21 for the S = 1 check at window 22 (20), and
+    # windows 31 and 32 for the S = 2 check at window 33 (30, 31). Each
+    # check's own window is the live graph (10, 21, 32).
     records = _isolated_butterflies_stream()
     state = SgddState()
     for r in records:
@@ -510,8 +525,8 @@ def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
         *range(3, 9), *range(12, 21), *range(23, 31), *range(34, 38)]
     assert state.graph.edge_count() == 0
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
-    assert rebuilt == [9, 8, 10, 20, 21, 31, 30, 32]
-    assert prefixes == [(7, 0), (19, 0), (29, 0)]
+    assert rebuilt == [8, 9, 10, 20, 21, 30, 31, 32]
+    assert prefixes == [(7, 0), (8, 0), (19, 0), (29, 0), (30, 0)]
 
 
 def _growing_star_stream(grow_until: int) -> list[SGR]:
@@ -537,14 +552,13 @@ def test_growing_graph_integrates_only_what_checks_read(monkeypatch):
     # Window w holds w - 2 vertices up to window 14, and 12 from then on,
     # so the graph grows in windows 11-14, after C3 opens at window 11.
     # Each of those checks fails C1, because O1 changes with the graph, and
-    # reads no O2, so none of them integrates (the after-check fill used to
-    # integrate windows 12 and 14, and window 12 went unread). The check
-    # at window 16 is the first whose O1 suffix is steady: it integrates the
-    # two windows before it and its own (13, 14, 15), S + 1 = 3, and fires.
-    # At d = 2 the bound on S is 1 and the S = 1 check at window 27 reads
-    # the window before and its own (25, 26). At d = 3 the bound is 2 again,
-    # and window 37, whose check C3 blocks, integrates after it (36), as
-    # window 10 did at d = 1 (9). The pairs are (window, o2 index).
+    # reads no O2, so none of them integrates. The check at window 16 is
+    # the first whose O1 suffix is steady: it integrates the two windows
+    # before it and its own (13, 14, 15), S + 1 = 3, and fires. At d = 2
+    # the bound on S is 1 and the S = 1 check at window 27 reads the window
+    # before and its own (25, 26). No window integrates outside a check
+    # that reads it, so windows 10 and 37, whose checks C3 blocks, do not.
+    # The pairs are (window, o2 index).
     records = _growing_star_stream(grow_until=15)
     config = SgddConfig(seed=0)
     rebuilt = []
@@ -555,7 +569,7 @@ def test_growing_graph_integrates_only_what_checks_read(monkeypatch):
     signals = [s for r in records if (s := sgdd_step(state, r)) is not None]
     assert [n for n, _, _ in state.sizes[10:15]] == [9, 10, 11, 12, 12]
     assert len(set(state.o1[10:14])) == 4
-    assert rebuilt == [(10, 9), (16, 13), (16, 14), (16, 15), (27, 25), (27, 26), (37, 36)]
+    assert rebuilt == [(16, 13), (16, 14), (16, 15), (27, 25), (27, 26)]
     assert [(s.window, s.params["S"]) for s in signals] == [(16, 2), (27, 1)]
     expected, reference_o2 = _reference_run(records, config)
     assert [state.o2[k] for _, k in rebuilt] == [reference_o2[k] for _, k in rebuilt]
