@@ -30,20 +30,17 @@ index. A signal's ``t`` is the ``t`` of the record that closed its window.
 
 Only O2 needs the frequencies and the integration, and a check reads O2
 only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1 (``o1``
-alone), and reads ``o2`` last, at most S windows back. A window with a
-non-empty graph appends ``None`` to ``o2``, and every window records in
-``sizes`` its graph's size and the draws before it, from which
-``rebuild_o2`` computes its O2 at any time. O2 is computed only inside the
-check that reads it, oldest first: the check fills the placeholders of the
-slice it reads, its own window last, so it integrates at most S + 1
-windows, and every O2 integrated is read. O1 is taken by readability: S
-never exceeds the bound b of ``sgdp.suffix_bound`` (1 on the parity of d
-that swaps the ratio, floor(log10(max(maximum, 100))) otherwise), so with
-L the last signalled window a check can read window W only if
-W + b > L + 10. An unreadable window appends ``None`` to ``o1``, a
-readable one takes the coherence (from the cached sines and cosines) only
-if the graph grew or the window before holds ``None``, and a check fills
-older placeholders from ``graph_at``.
+alone), and reads ``o2`` last, at most S windows back. Both series follow
+one rule: a window with a non-empty graph appends ``None`` to ``o1`` and
+``o2``, and every window records in ``sizes`` its graph's size and the
+draws before it, from which ``graph_at`` gives its graph and
+``rebuild_o2`` its O2 at any time. Each value is computed only inside the
+check that reads it, oldest first: the check fills the placeholders of
+the slice it reads, its own window last, so it takes at most S' + 1
+coherences and integrates at most S + 1 windows, and every value computed
+is read. The one exception keeps O1 cheap: edges only arrive with new
+vertices and phases depend on the edges alone, so a window whose graph did
+not grow copies the window before's ``o1`` entry, value or placeholder.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .butterfly import BipartiteWindow, young_timestamps
-from .sgdp import check_variant, suffix_bound, suffix_size
+from .sgdp import check_variant, suffix_size
 from .signals import DriftSignal, now_ms
 # Imported under this name, which perfbench/tracer.py wraps.
 from .stream_model import BurstProfile, SGR, ingest_timestamp as ingest
@@ -89,8 +86,9 @@ class SgddConfig:
 class SgddState:
     """Detector state for one stream, built from its config alone.
 
-    ``o1`` holds ``None`` for a window whose O1 no check could read when it
-    closed, and ``o2`` for a window whose O2 nothing has read yet.
+    ``o1`` and ``o2`` hold ``None`` for a window with a non-empty graph
+    whose O1 or O2 nothing has read yet (an ``o1`` entry copied from the
+    window before, whose graph was the same, may be a value).
     ``sizes`` is the per-window history: ``(V, E, G)`` per closed window,
     its graph's vertex and edge counts and G, the frequencies drawn before
     it (the previous window's G + V). ``cursor`` is ``(rng, at)``: an RNG
@@ -131,7 +129,8 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float | None],
     an error. C3 is tested first, then C1, which reads ``o1`` only, and
     ``o2`` is read only when both hold. ``fill(series, first, stop)``, if
     given, is called just before each read with the slice it covers: for
-    ``o1`` once C3 holds, for ``o2`` once C1 holds too. On a signal the
+    ``o1`` once C3 holds, for ``o2`` once C1 holds too. Without ``fill``,
+    both slices must already hold values, not ``None``. On a signal the
     window is appended to the drift log, which tightens C1 (the precision
     exponent is d+2) for later checks.
     """
@@ -232,19 +231,9 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     # Only project changes the graph, so its size now is the last window's V.
     before, _, drawn = sizes[-1] if sizes else (0, 0, 0)
     project(window_graph, graph, young)
-    window = len(o1) + 1
-    drift_windows, variant = state.drift_windows, state.config.variant
-    bound = suffix_bound(profile.maximum, len(drift_windows), variant)
-    # The first window a check can read (module docstring).
-    readable = drift_windows[-1] + 11 - bound
-    if window < readable and graph.vertices:
-        o1.append(None)
     # Edges only arrive with new vertices and phases depend on the edges
     # alone, so an unchanged vertex count means an unchanged O1.
-    elif graph.vertices and (len(graph) != before or o1[-1] is None):
-        o1.append(graph.coherence())
-    else:
-        o1.append(o1[-1] if o1 else 0.0)
+    o1.append(o1[-1] if o1 and len(graph) == before else None if graph.vertices else 0.0)
     o2.append(None if graph.vertices else 0.0)
     sizes.append((len(graph), graph.edge_count(), drawn + before))
 
@@ -255,7 +244,7 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
                              else graph_at(state, k).coherence())
 
     return cdc_butterfly(profile.maximum, profile.average, o1, o2, r.t,
-                         drift_windows, variant, fill)
+                         state.drift_windows, state.config.variant, fill)
 
 
 def run_sgdd(records, config: SgddConfig | None = None) -> list[DriftSignal]:

@@ -60,17 +60,6 @@ def suffix_size(maximum: float, average: float, d: int, variant: str = "default"
     return s if s > 1 else 1
 
 
-def suffix_bound(maximum: float, d: int, variant: str = "default") -> int:
-    """The largest S that ``suffix_size`` gives at this burst maximum and d.
-
-    The average never exceeds the maximum, so the reciprocal ratio is at
-    most 1 and S is 1 on the parity of d that takes it. On the other
-    parity S is at most floor(log10(max(maximum, 100))), whatever the
-    average. Both are S at an average below 10.
-    """
-    return suffix_size(maximum, 0.0, d, variant)
-
-
 @lru_cache(maxsize=128)
 def _decimal_ratio(x: float) -> tuple[int, int]:
     return Fraction(str(x)).as_integer_ratio()

@@ -417,12 +417,6 @@ def _swapped(d: int, variant: str) -> bool:
     return (d % 2 == 0) == (variant == "default")
 
 
-def reference_suffix_bound(maximum: float, d: int, variant: str = "default") -> int:
-    if _swapped(d, variant):
-        return 1
-    return _digits_floor_log10(max(maximum, 100))
-
-
 def _decimal(x: float) -> Fraction:
     return Fraction(str(x))
 

@@ -261,17 +261,13 @@ def _reference_run(records, config):
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_rebuilt_o2_keeps_golden_fingerprints(monkeypatch, pattern, seed, variant):
-    # With the bound on S forced down, windows that spaced checks read are
-    # skipped too, and every such read goes through rebuild_o2 for O2 and
-    # through the fill hook for O1, some of it from a graph that has grown
-    # since, rebuilt by prefix.
+    # Every window a check reads goes through rebuild_o2 for O2 and through
+    # the fill hook for O1, some of it from a graph that has grown since,
+    # rebuilt by prefix.
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     config = SgddConfig(seed=seed, variant=variant)
     _, unskipped = _reference_run(records, config)
-    bound = sgdd.suffix_bound
-    monkeypatch.setattr(sgdd, "suffix_bound",
-                        lambda maximum, d, variant: bound(maximum, d, variant) - 8)
     past_o1 = []
     prefix, coherence = OscillatorGraph.prefix, OscillatorGraph.coherence
 
@@ -321,22 +317,30 @@ def _traced_golden_run(monkeypatch, pattern, seed, variant):
     Returns one namespace per check: ``d``, the drift log's length before
     it; ``read``, the range of the O2 slice it filled (``None`` if C3 or C1
     stopped it); ``rebuilt``, the indices ``rebuild_o2`` computed inside
-    that fill; and ``fired``. Also returns the indices rebuilt anywhere else.
+    that fill; ``o1_pending``, the indices of its O1 slice that held
+    ``None`` before it filled that slice; ``o1_taken``, the vertex count of
+    each graph whose ``coherence`` that fill took; and ``fired``. The
+    returned namespace also holds the state, the indices rebuilt anywhere
+    else and the vertex count of each graph, live or rebuilt by ``prefix``,
+    whose coherence was taken anywhere else.
     """
     records, _ = generate(GeneratorConfig(seed=seed, prefix_len=500),
                           DriftSchedule.make(pattern, 500), 3000)
     state = SgddState(config=SgddConfig(seed=seed, variant=variant))
-    checks, filling, outside = [], [], []
+    checks, filling, outside, taken_outside = [], [], [], []
     check, rebuild = sgdd.cdc_butterfly, sgdd.rebuild_o2
+    coherence = OscillatorGraph.coherence
 
     def traced_check(*args):
         *args, fill = args
-        traced = SimpleNamespace(d=len(args[5]), read=None, rebuilt=[])
+        traced = SimpleNamespace(d=len(args[5]), read=None, rebuilt=[], o1_pending=[],
+                                 o1_taken=[])
 
         def traced_fill(series, first, stop):
-            if series is not state.o2:
-                return fill(series, first, stop)
-            traced.read = range(first, stop)
+            if series is state.o2:
+                traced.read = range(first, stop)
+            else:
+                traced.o1_pending = [k for k in range(first, stop) if series[k] is None]
             filling.append(traced)
             fill(series, first, stop)
             filling.pop()
@@ -346,34 +350,47 @@ def _traced_golden_run(monkeypatch, pattern, seed, variant):
         traced.fired = signal is not None
         return signal
 
+    def traced_coherence(graph):
+        # rebuild_o2 never takes a coherence, so a fill in progress is O1's.
+        (filling[-1].o1_taken if filling else taken_outside).append(len(graph))
+        return coherence(graph)
+
     monkeypatch.setattr(sgdd, "cdc_butterfly", traced_check)
     monkeypatch.setattr(sgdd, "rebuild_o2", lambda s, k: (
         filling[-1].rebuilt if filling else outside).append(k) or rebuild(s, k))
+    monkeypatch.setattr(OscillatorGraph, "coherence", traced_coherence)
     for r in records:
         sgdd_step(state, r)
-    return checks, outside
+    return SimpleNamespace(state=state, checks=checks, outside=outside,
+                           taken_outside=taken_outside)
 
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
-def test_checks_integrate_only_the_o2_they_read_oldest_first(
-        monkeypatch, pattern, seed, variant):
+def test_checks_compute_only_the_o1_and_o2_they_read(monkeypatch, pattern, seed, variant):
     # O2 is computed only inside the check that reads it: the check's O2
     # slice is the S windows before it and its own, so it integrates at most
     # S + 1, and the golden runs reach that. Checks come in window order
     # and fill their slices oldest first, so the rebuilt indices increase.
-    checks, outside = _traced_golden_run(monkeypatch, pattern, seed, variant)
-    assert outside == []
+    run = _traced_golden_run(monkeypatch, pattern, seed, variant)
+    checks = run.checks
+    assert run.outside == []
     assert all(k in c.read for c in checks for k in c.rebuilt)
     assert max(len(c.rebuilt) - len(c.read) for c in checks if c.read) == 0
     rebuilt = [k for c in checks for k in c.rebuilt]
     assert rebuilt and all(a < b for a, b in zip(rebuilt, rebuilt[1:]))
+    # O1 too: every coherence is taken inside a check's O1 fill, one per
+    # placeholder of its slice, oldest first, from that window's graph.
+    assert run.taken_outside == []
+    sizes = run.state.sizes
+    assert all(c.o1_taken == [sizes[k][0] for k in c.o1_pending] for c in checks)
+    assert any(c.o1_taken for c in checks)
 
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
 def test_every_check_reaching_c2_at_sprime_1_fires(monkeypatch, pattern, seed, variant):
     # At S' = 1, C2 asks only that one of the S earlier O2 values differ
     # from the check's own, which the random frequencies all but ensure.
-    checks, _ = _traced_golden_run(monkeypatch, pattern, seed, variant)
+    checks = _traced_golden_run(monkeypatch, pattern, seed, variant).checks
     at_one = [c.fired for c in checks
               if c.read and sprime_length(len(c.read) - 1, c.d) == 1]
     assert at_one and all(at_one)
@@ -396,15 +413,14 @@ def test_burst_past_a_power_of_ten_rebuilds_a_skipped_window(monkeypatch):
     # Seed 0 signals at windows 11, 22, 33, ... In parentheses, the
     # rebuild_o2 calls by o2 index, which is w - 1 for window w. Every
     # window skips its O2, and each signalling check integrates the S
-    # windows before it and its own, oldest first. Where the bound on S is
-    # 2 (d = 1), the S = 2 check at window 11 reads (8, 9, 10). At d = 2
-    # (windows 12-22) and d = 4 (windows 34-44) the bound on S is 1, so the
-    # S = 1 checks at windows 22 and 44 read (20, 21) and (42, 43). The
-    # burst at timestamp 32 opens with the record that closes window 30, so
-    # the largest burst reaches 1,000 only after window 30 was skipped as
-    # unreadable under S <= 2. At window 33, d = 3 gives S = 3, so the check
-    # reaches back past the readable windows to window 30 (29, 30, 31, 32).
-    # At d = 5 the bound is 3 again, and the S = 3 check at window 55 reads
+    # windows before it and its own, oldest first. At d = 1 the S = 2 check
+    # at window 11 reads (8, 9, 10). At d = 2 (windows 12-22) and d = 4
+    # (windows 34-44) S is 1, so the S = 1 checks at windows 22 and 44 read
+    # (20, 21) and (42, 43). The burst at timestamp 32 opens with the record
+    # that closes window 30, so the largest burst reaches 1,000 only after
+    # window 30 closed, while S was at most 2. At window 33, d = 3 gives
+    # S = 3, so the check reaches back to window 30 (29, 30, 31, 32). At
+    # d = 5, S is 3 again, and the S = 3 check at window 55 reads
     # (51, 52, 53, 54).
     records = _saturated_stream(big_tau=32)
     config = SgddConfig(seed=0)
@@ -516,17 +532,22 @@ def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     for r in records:
         sgdd_step(state, r)
     # Windows 1 and 2 close on an empty graph; window w holds w - 2 vertices.
-    # O1 is taken only where a check can read it: from nine windows after
-    # the last signal while the bound on S is 2 (d = 1, 3) and from ten
-    # after it while the bound is 1 (d = 2, 4), so windows 3-8, 12-20, 23-30
-    # and 34-37 hold None.
+    # O1 is taken only inside the check that reads it, for its own window
+    # and the S' before it: windows 9-11 (S' = 2), 21-22 and 32-33 (S' = 1).
+    # Every other window with a non-empty graph, 3-8, 12-20, 23-31 and
+    # 34-37, holds None.
     assert state.o1[:2] == [0.0, 0.0] and set(state.o1[2:]) == {1.0, None}
     assert [k + 1 for k, value in enumerate(state.o1) if value is None] == [
-        *range(3, 9), *range(12, 21), *range(23, 31), *range(34, 38)]
+        *range(3, 9), *range(12, 21), *range(23, 32), *range(34, 38)]
     assert state.graph.edge_count() == 0
     rebuilt, prefixes = _check_s1_rebuild(monkeypatch, records)
     assert rebuilt == [8, 9, 10, 20, 21, 30, 31, 32]
-    assert prefixes == [(7, 0), (8, 0), (19, 0), (29, 0), (30, 0)]
+    # Each check rebuilds its past windows through prefix once for its O1
+    # fill, then again for its O2 fill: windows 9 and 10 twice at window 11,
+    # window 21 twice at window 22, and at window 33 window 32 for O1, then
+    # windows 31 and 32 for O2.
+    assert prefixes == [(7, 0), (8, 0), (7, 0), (8, 0), (19, 0), (19, 0),
+                        (30, 0), (29, 0), (30, 0)]
 
 
 def _growing_star_stream(grow_until: int) -> list[SGR]:
@@ -555,7 +576,7 @@ def test_growing_graph_integrates_only_what_checks_read(monkeypatch):
     # reads no O2, so none of them integrates. The check at window 16 is
     # the first whose O1 suffix is steady: it integrates the two windows
     # before it and its own (13, 14, 15), S + 1 = 3, and fires. At d = 2
-    # the bound on S is 1 and the S = 1 check at window 27 reads the window
+    # S is 1 and the S = 1 check at window 27 reads the window
     # before and its own (25, 26). No window integrates outside a check
     # that reads it, so windows 10 and 37, whose checks C3 blocks, do not.
     # The pairs are (window, o2 index).

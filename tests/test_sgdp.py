@@ -7,8 +7,7 @@ import pytest
 
 from helpers import taus_to_records
 from sgdrift.sgdp import (FULL_F_SCHEDULE, SgdpConfig, SgdpState, cds_bursts,
-                          count_threshold, run_sgdp, sgdp_step, suffix_bound,
-                          suffix_size)
+                          count_threshold, run_sgdp, sgdp_step, suffix_size)
 from sgdrift.stream_model import BurstProfile, ingest_timestamp
 
 
@@ -38,14 +37,7 @@ def test_suffix_size_always_positive():
         average = rng.uniform(0, maximum) if maximum else 0.0
         d = rng.randint(1, 9)
         for variant in ("default", "appendix"):
-            # ... and never above the bound sgdd skips windows by, which is
-            # 1 on the parity of d that swaps the ratio and otherwise the
-            # S of an average below 100.
-            s = suffix_size(maximum, average, d, variant)
-            bound = suffix_bound(maximum, d, variant)
-            assert 1 <= s <= bound
-            swapped = d % 2 == 0 if variant == "default" else d % 2 == 1
-            assert bound == (1 if swapped else suffix_size(maximum, 0.0, d, variant))
+            assert suffix_size(maximum, average, d, variant) >= 1
 
 
 def test_suffix_size_rejects_bad_args():
