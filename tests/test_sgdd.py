@@ -520,6 +520,27 @@ def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
 
 
 @pytest.mark.libm
+def test_steady_graph_copies_o1_instead_of_taking_it(monkeypatch):
+    # The graph holds its 9 vertices from window 3 on, so every later window
+    # copies the o1 entry before it. Windows 3-8 copy window 3's placeholder
+    # and no check reads them. The check at window 11 takes the coherence of
+    # the live graph for the placeholders it reads (windows 9, 10, 11), and
+    # every window after it copies that value, so the checks that fire at
+    # windows 22, 33, 44 and 55 read O1 without taking it.
+    taken = []
+    coherence = OscillatorGraph.coherence
+    monkeypatch.setattr(OscillatorGraph, "coherence", lambda graph: taken.append(
+        (len(state.o1), len(graph))) or coherence(graph))
+    state = SgddState()
+    signals = [s for r in _saturated_stream(big_tau=0) if (s := sgdd_step(state, r))]
+    assert [s.window for s in signals] == [11, 22, 33, 44, 55]
+    assert {n for n, _, _ in state.sizes[2:]} == {9}
+    assert taken == [(11, 9)] * 3
+    assert [k + 1 for k, value in enumerate(state.o1) if value is None] == [*range(3, 9)]
+    assert set(state.o1[8:]) == {state.o1[10]} and state.o1[10] is not None
+
+
+@pytest.mark.libm
 def test_s1_check_rebuilds_a_smaller_past_graph_through_prefix(monkeypatch):
     # Here the graph grows by one vertex every window, so every window a
     # check reads before its own is smaller than the live graph and is
