@@ -16,8 +16,9 @@ rejects, whatever ``--mode``, or ``generate --batch --name`` or a
 ``--name`` that is empty or holds a path separator, found before any file
 is read or opened), 2
 data error: any ``ValueError``, ``OSError`` or ``DeterminismError`` raised
-after the usage checks. Every default that a config class declares is read
-from that class.
+after the usage checks, 141 the reader of an output pipe closed it early
+(what a shell reports for a writer that SIGPIPE ended; nothing is printed).
+Every default that a config class declares is read from that class.
 """
 
 from __future__ import annotations
@@ -299,10 +300,19 @@ def main(argv=None) -> int:
                 "time": _cmd_time}
     try:
         args = build_parser().parse_args(argv)
-        return commands[args.command](args)
+        status = commands[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader stopped early, which is its right. Send what stdout
+        # still buffers to the null device, so the flush at exit fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DeterminismError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

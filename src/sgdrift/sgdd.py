@@ -33,14 +33,16 @@ only where C3 and C1 hold: ``cdc_butterfly`` tests C3, then C1 (``o1``
 alone), and reads ``o2`` last, at most S windows back. Both series follow
 one rule: a window with a non-empty graph appends ``None`` to ``o1`` and
 ``o2``, and every window records in ``sizes`` its graph's size and the
-draws before it, from which ``graph_at`` gives its graph and
-``rebuild_o2`` its O2 at any time. Each value is computed only inside the
-check that reads it, oldest first: the check fills the placeholders of
-the slice it reads, its own window last, so it takes at most S' + 1
-coherences and integrates at most S + 1 windows, and every value computed
-is read. The one exception keeps O1 cheap: edges only arrive with new
-vertices and phases depend on the edges alone, so a window whose graph did
-not grow copies the window before's ``o1`` entry, value or placeholder.
+draws before it, from which ``graph.prefix`` gives its graph (the live one
+if it has not grown since) and ``rebuild_o2`` its O2 at any time. Each
+value is computed only inside the check that reads it, oldest first: the
+check fills the placeholders of the slice it reads, its own window last,
+so it integrates at most S + 1 windows, and every value computed is read.
+Edges only arrive with new vertices and phases depend on the edges alone,
+so windows with one vertex count share one O1: a window whose graph did
+not grow copies the window before's ``o1`` entry, value or placeholder,
+and the fill copies the value it has just taken, so a check takes at most
+S' + 1 coherences, one per vertex count in its slice.
 """
 
 from __future__ import annotations
@@ -168,16 +170,18 @@ def cdc_butterfly(maximum: float, average: float, o1: list[float | None],
 def rebuild_o2(state: SgddState, index: int) -> float:
     """Compute window ``index``'s O2, store it at ``state.o2[index]`` and return it.
 
-    Every window's O2 is computed here, from ``graph_at(state, index)`` and
-    the Gaussian draws G to G + V of an RNG seeded with ``config.seed``:
-    the state's cursor seeks forward to G and stays where V's draws end.
+    Every window's O2 is computed here, from ``state.graph.prefix(V, E)``
+    (the live graph itself if it has not grown since) and the Gaussian
+    draws G to G + V of an RNG seeded with ``config.seed``: the state's
+    cursor seeks forward to G and stays where V's draws end.
     ``sgdd_step`` rebuilds windows oldest first, so only a window behind
     the cursor seeds a fresh RNG: a library caller's order, or a check that
     reads an unfilled window before the last check's slice, which needs its
     S two or more above that check's. A fresh RNG seeks from draw 0, O(G)
     uniforms, so rebuilding newest first is quadratic in the stream.
     """
-    (n, _, g), graph = state.sizes[index], graph_at(state, index)
+    n, m, g = state.sizes[index]
+    graph = state.graph.prefix(n, m)
     rng, at = state.cursor
     if at > g:
         rng, at = random.Random(state.config.seed), 0
@@ -187,12 +191,6 @@ def rebuild_o2(state: SgddState, index: int) -> float:
     value = state.o2[index] = order_parameter([delta[v] for v in graph.order])
     state.cursor = (rng, g + n)
     return value
-
-
-def graph_at(state: SgddState, index: int) -> OscillatorGraph:
-    """Window ``index``'s graph: the live one if no vertex came since, else its ``prefix``."""
-    (n, m, _), graph = state.sizes[index], state.graph
-    return graph if n == len(graph) else graph.prefix(n, m)
 
 
 def _seek(rng: random.Random, at: int, g: int) -> None:
@@ -240,8 +238,10 @@ def sgdd_step(state: SgddState, r: SGR) -> DriftSignal | None:
     def fill(series: list[float | None], first: int, stop: int) -> None:
         for k in range(first, stop):
             if series[k] is None:
-                series[k] = (rebuild_o2(state, k) if series is o2
-                             else graph_at(state, k).coherence())
+                n, m, _ = sizes[k]
+                same = k and o1[k - 1] is not None and sizes[k - 1][0] == n
+                series[k] = (rebuild_o2(state, k) if series is o2 else o1[k - 1] if same
+                             else graph.prefix(n, m).coherence())
 
     return cdc_butterfly(profile.maximum, profile.average, o1, o2, r.t,
                          state.drift_windows, state.config.variant, fill)

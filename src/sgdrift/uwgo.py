@@ -134,7 +134,12 @@ class OscillatorGraph:
         frequencies are zero. It is a graph to take the coherence of, to
         draw frequencies for and to integrate, not to project into, so it
         holds no keys or identifiers.
+
+        At the graph's own counts it is the graph itself, keys and last-drawn
+        frequencies included, so a caller that mutates it mutates this graph.
         """
+        if n == len(self) and m == len(self.edges):
+            return self
         past = OscillatorGraph()
         past.edges = self.edges[:m]
         past.nbr_sum, past.theta = self.nbr_sum[:n], self.theta[:n]

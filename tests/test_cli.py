@@ -1,7 +1,9 @@
 import io
 import json
 import os
+import subprocess
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -109,6 +111,32 @@ def test_detect_stdin_pipeline(tmp_path, capsys):
     text = "".join(f"u{k},v{k},1.0,{k}\n" for k in range(1, 50))
     code = run_cli(["detect", "--mode", "sgdp", "--input", "-"], stdin_text=text)
     assert code == 0
+
+
+def test_detect_stops_quietly_when_its_reader_closes_the_pipe(tmp_path):
+    # As in `detect --out - | head -1`: the reader takes one signal, closes
+    # the pipe, and more signals follow. The stream goes in through stdin in
+    # two halves, each with signals, so the second half's are written only
+    # after the close. A shell reports 141 for a writer that SIGPIPE ended.
+    stream, _ = generate_small(tmp_path)
+    lines = stream.read_text(encoding="utf-8").splitlines(keepends=True)
+    half = len(lines) // 2
+    times = [s.t for s in run_sgdp(parse_sgr(line, 0).tau for line in lines)]
+    assert min(times) <= half < max(times)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with subprocess.Popen(
+            [sys.executable, "-m", "sgdrift.cli", "detect", "--mode", "sgdp", "--input", "-",
+             "--out", "-"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env) as process:
+        process.stdin.write("".join(lines[:half]))
+        process.stdin.flush()
+        assert DriftSignal.from_json(process.stdout.readline()).t == times[0]
+        process.stdout.close()
+        with suppress(BrokenPipeError):  # the detector may stop before reading it all
+            process.stdin.write("".join(lines[half:]))
+            process.stdin.close()
+        assert process.wait(timeout=60) == 141
+        assert process.stderr.read() == ""
 
 
 def test_detect_both_modes_interleaved(tmp_path, capsys):

@@ -65,8 +65,7 @@ from sgdrift.butterfly import BipartiteWindow, enumerate_young, young_timestamps
 from sgdrift.genstream import (DriftSchedule, GeneratorConfig, GroundTruth, _RecentGraph,
                                generate)
 from sgdrift.harness import distances
-from sgdrift.sgdd import (REPLAY_CHUNK, SgddConfig, SgddState, _seek, graph_at, run_sgdd,
-                          sgdd_step)
+from sgdrift.sgdd import REPLAY_CHUNK, SgddConfig, SgddState, _seek, run_sgdd, sgdd_step
 from sgdrift.sgdp import (DEFAULT_F_SCHEDULE, FULL_F_SCHEDULE, VARIANTS, SgdpConfig,
                           SgdpState, cds_bursts, count_threshold, sgdp_step, suffix_size)
 from sgdrift.signals import DriftSignal
@@ -230,7 +229,8 @@ def test_sgdd_window_bookkeeping_matches_recomputation(bursts, x, seed):
     # prefix.
     for k, value in enumerate(state.o1):
         if value is None:
-            assert graph_at(state, k).coherence() == expected_o1[k]
+            n, m, _ = state.sizes[k]
+            assert state.graph.prefix(n, m).coherence() == expected_o1[k]
         else:
             assert value == expected_o1[k]
 

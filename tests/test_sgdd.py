@@ -9,8 +9,8 @@ import pytest
 from helpers import FIG5_DOTTED, FIG5_SOLID, reference_sgdd, taus_to_records
 from sgdrift import sgdd
 from sgdrift.genstream import DriftSchedule, GeneratorConfig, generate
-from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, graph_at, rebuild_o2,
-                          run_sgdd, sgdd_step, sprime_length)
+from sgdrift.sgdd import (SgddConfig, SgddState, cdc_butterfly, rebuild_o2, run_sgdd,
+                          sgdd_step, sprime_length)
 from sgdrift.sgdp import SgdpConfig
 from sgdrift.stream_model import SGR, BurstProfile, ingest_timestamp
 from sgdrift.uwgo import OscillatorGraph
@@ -233,7 +233,7 @@ def test_fig5_stream_one_window_no_signal():
     assert len(state.graph) == 8  # the worked example's young butterflies
     # No check can read window 1's O1 or O2, so both were skipped.
     assert state.o1 == [None] and state.o2 == [None]
-    assert graph_at(state, 0).coherence() > 0.0
+    assert state.graph.prefix(*state.sizes[0][:2]).coherence() > 0.0
     # predicted phase changes are small and clustered: high coherence
     assert rebuild_o2(state, 0) > 0.9
 
@@ -302,7 +302,8 @@ def test_filled_o1_placeholders_give_the_reference_series(pattern, seed, variant
     past = 0
     for k, value in enumerate(state.o1):
         if value is None:
-            graph = graph_at(state, k)
+            n, m, _ = state.sizes[k]
+            graph = state.graph.prefix(n, m)
             past += graph is not state.graph
             state.o1[k] = graph.coherence()
     assert past
@@ -378,12 +379,27 @@ def test_checks_compute_only_the_o1_and_o2_they_read(monkeypatch, pattern, seed,
     assert max(len(c.rebuilt) - len(c.read) for c in checks if c.read) == 0
     rebuilt = [k for c in checks for k in c.rebuilt]
     assert rebuilt and all(a < b for a, b in zip(rebuilt, rebuilt[1:]))
-    # O1 too: every coherence is taken inside a check's O1 fill, one per
-    # placeholder of its slice, oldest first, from that window's graph.
+    # O1 too: every coherence is taken inside a check's O1 fill, oldest
+    # first, once per vertex count among the placeholders of its slice. The
+    # window before the first placeholder never holds a value at its count,
+    # which that window's close would have copied.
     assert run.taken_outside == []
     sizes = run.state.sizes
-    assert all(c.o1_taken == [sizes[k][0] for k in c.o1_pending] for c in checks)
+    assert all(c.o1_taken == list(dict.fromkeys(sizes[k][0] for k in c.o1_pending))
+               for c in checks)
     assert any(c.o1_taken for c in checks)
+
+
+@pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
+def test_no_step_takes_the_coherence_of_one_graph_twice(monkeypatch, pattern, seed, variant):
+    # Windows with one vertex count have one graph, so a check's O1 fill
+    # takes that graph's coherence once and copies it to the later windows
+    # of that count in its slice. Every coherence is taken inside a check,
+    # and a step makes at most one check.
+    run = _traced_golden_run(monkeypatch, pattern, seed, variant)
+    assert run.taken_outside == []
+    repeats = sum(len(c.o1_taken) - len(set(c.o1_taken)) for c in run.checks)
+    assert repeats == 0
 
 
 @pytest.mark.parametrize("pattern,seed,variant", GOLDEN_RUNS)
@@ -484,17 +500,24 @@ def _isolated_butterflies_stream() -> list[SGR]:
 
 
 def _check_s1_rebuild(monkeypatch, records):
-    """Run seed 0 over ``records`` counting rebuilds and ``prefix`` calls.
+    """Run seed 0 over ``records`` counting rebuilds and past graphs.
 
     Checks the signals and every rebuilt O2 against ``reference_sgdd``,
     and that the first S = 1 check, at window 22, fires. Returns the
-    rebuilt indices and the ``prefix`` calls.
+    rebuilt indices and the ``prefix`` calls that built a new graph, not
+    the live one.
     """
     config = SgddConfig(seed=0)
     prefixes = []
     prefix = OscillatorGraph.prefix
-    monkeypatch.setattr(OscillatorGraph, "prefix",
-                        lambda graph, n, m: prefixes.append((n, m)) or prefix(graph, n, m))
+
+    def counted_prefix(graph, n, m):
+        past = prefix(graph, n, m)
+        if past is not graph:
+            prefixes.append((n, m))
+        return past
+
+    monkeypatch.setattr(OscillatorGraph, "prefix", counted_prefix)
     signals, o2, rebuilt = _run_counting_rebuilds(monkeypatch, records, config)
     expected, reference_o2 = _reference_run(records, config)
     assert [o2[k] for k in rebuilt] == [reference_o2[k] for k in rebuilt]
@@ -523,10 +546,11 @@ def test_s1_check_fires_over_a_skipped_window_of_the_live_graph(monkeypatch):
 def test_steady_graph_copies_o1_instead_of_taking_it(monkeypatch):
     # The graph holds its 9 vertices from window 3 on, so every later window
     # copies the o1 entry before it. Windows 3-8 copy window 3's placeholder
-    # and no check reads them. The check at window 11 takes the coherence of
-    # the live graph for the placeholders it reads (windows 9, 10, 11), and
-    # every window after it copies that value, so the checks that fire at
-    # windows 22, 33, 44 and 55 read O1 without taking it.
+    # and no check reads them. The check at window 11 reads the placeholders
+    # of windows 9, 10 and 11: it takes the live graph's coherence for
+    # window 9 and copies it to windows 10 and 11. Every window after it
+    # copies that value, so the checks that fire at windows 22, 33, 44 and
+    # 55 read O1 without taking it.
     taken = []
     coherence = OscillatorGraph.coherence
     monkeypatch.setattr(OscillatorGraph, "coherence", lambda graph: taken.append(
@@ -535,7 +559,7 @@ def test_steady_graph_copies_o1_instead_of_taking_it(monkeypatch):
     signals = [s for r in _saturated_stream(big_tau=0) if (s := sgdd_step(state, r))]
     assert [s.window for s in signals] == [11, 22, 33, 44, 55]
     assert {n for n, _, _ in state.sizes[2:]} == {9}
-    assert taken == [(11, 9)] * 3
+    assert taken == [(11, 9)]
     assert [k + 1 for k, value in enumerate(state.o1) if value is None] == [*range(3, 9)]
     assert set(state.o1[8:]) == {state.o1[10]} and state.o1[10] is not None
 

@@ -168,6 +168,25 @@ def test_frequency_spread_follows_sigma():
     assert all(omega == 0.0 for omega in graph.omega)
 
 
+def test_prefix_is_the_graph_itself_only_at_its_own_size():
+    # At its own size the prefix is the live graph. A later window links a
+    # new butterfly to the isolated Fig. 5 one through j8, which moves that
+    # vertex's phase; the prefix at the Fig. 5 size is a new graph that
+    # must undo the move.
+    graph = build_fig5_graph()
+    n, m = len(graph), graph.edge_count()
+    assert graph.prefix(n, m) is graph
+    window, _ = fig5_window()
+    window.clear()
+    for i, j in [("c", "j8"), ("c", "z"), ("d", "j8"), ("d", "z")]:
+        window.add(i, j, 2)
+    project(window, graph, {2})
+    assert (len(graph), graph.edge_count()) == (n + 1, m + 1)
+    past, replayed = graph.prefix(n, m), build_fig5_graph()
+    assert past is not graph
+    assert past.coherence() == replayed.coherence() != graph.coherence()
+
+
 # --- order parameter ---------------------------------------------------------------
 
 def test_order_parameter_synchrony():
